@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"actjoin/internal/act"
 	"actjoin/internal/cellid"
@@ -903,81 +903,20 @@ func (ix *Index) Stats() Stats { return ix.Current().Stats() }
 // Deprecated: use Current().Removed.
 func (ix *Index) Removed(id PolygonID) bool { return ix.Current().Removed(id) }
 
-// probeBufs recycles the per-call conversion arrays. They live only for the
-// duration of one batch call (join results never reference them), and at
-// high call rates their allocation volume alone would drive the GC mark
-// frequency up.
-type probeBufs struct {
-	pts   []geom.Point
-	cells []cellid.CellID
-}
+// The batch queries read the caller's points in place: Point and
+// geom.Point share one layout (two float64 coordinates, longitude first),
+// so a []Point is viewed as a []geom.Point without a copy. These
+// declarations stop the build if the layouts ever diverge.
+var (
+	_ [unsafe.Sizeof(Point{}) - unsafe.Sizeof(geom.Point{})]struct{}
+	_ [unsafe.Sizeof(geom.Point{}) - unsafe.Sizeof(Point{})]struct{}
+	_ [unsafe.Offsetof(Point{}.Lat) - unsafe.Offsetof(geom.Point{}.Y)]struct{}
+	_ [unsafe.Offsetof(geom.Point{}.Y) - unsafe.Offsetof(Point{}.Lat)]struct{}
+)
 
-var probeBufPool sync.Pool
-
-// toProbeParallel is the probe-input conversion chunked across workers —
-// the cell conversion is a pure per-point Hilbert encoding and dominates
-// batch latency at high point counts. Approximate-mode joins never touch
-// the geometry, so the internal point array is skipped entirely (needPts
-// false). release returns the buffers to the pool; call it once no join is
-// using them.
-func toProbeParallel(points []Point, threads int, needPts bool) ([]geom.Point, []cellid.CellID, func()) {
-	n := len(points)
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	if chunks := n / 4096; threads > chunks {
-		threads = chunks // conversion is ~100ns/point; don't spawn for less
-	}
-	bufs, _ := probeBufPool.Get().(*probeBufs)
-	if bufs == nil {
-		bufs = &probeBufs{}
-	}
-	var pts []geom.Point
-	if needPts {
-		if cap(bufs.pts) >= n {
-			pts = bufs.pts[:n]
-		} else {
-			pts = make([]geom.Point, n)
-			bufs.pts = pts
-		}
-	}
-	var cells []cellid.CellID
-	if cap(bufs.cells) >= n {
-		cells = bufs.cells[:n]
-	} else {
-		cells = make([]cellid.CellID, n)
-		bufs.cells = cells
-	}
-	release := func() { probeBufPool.Put(bufs) }
-	convert := func(begin, end int) {
-		for i := begin; i < end; i++ {
-			gp := geom.Point{X: points[i].Lon, Y: points[i].Lat}
-			if needPts {
-				pts[i] = gp
-			}
-			cells[i] = cellid.FromPoint(gp)
-		}
-	}
-	if threads <= 1 {
-		convert(0, n)
-		return pts, cells, release
-	}
-	var wg sync.WaitGroup
-	chunk := (n + threads - 1) / threads
-	for begin := 0; begin < n; begin += chunk {
-		end := begin + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		//act:norecover pure-compute conversion over disjoint caller-owned ranges; a panic is a broken invariant with no state to contain
-		go func(b, e int) {
-			defer wg.Done()
-			convert(b, e)
-		}(begin, end)
-	}
-	wg.Wait()
-	return pts, cells, release
+// geomPoints views points as the geometry layer's point type.
+func geomPoints(points []Point) []geom.Point {
+	return unsafe.Slice((*geom.Point)(unsafe.Pointer(unsafe.SliceData(points))), len(points))
 }
 
 func toJoinResult(res join.Result) JoinResult {

@@ -49,6 +49,13 @@
 // registry > commit lock > one shard's mutex; no path holds two shards'
 // mutexes at once.
 //
+// Bulk queries (CoversBatch, JoinCount) on either engine run one batch
+// pipeline: the points are converted to cell ids in parallel, optionally
+// radix-sorted into one global schedule, and probed in runs — each run of
+// points sharing an index cell costs one trie walk, on the shard owning
+// it. QueryOptions.Threads is the worker count of every stage and is not
+// divided across shards.
+//
 // Publishes are incremental by default: a mutation patches the previous
 // snapshot (splicing clean cell runs, delta-encoding only dirty regions,
 // copy-on-write patching of the trie arena), so its latency is

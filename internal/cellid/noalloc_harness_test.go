@@ -31,6 +31,14 @@ func TestNoAllocHarness(t *testing.T) {
 		allocSink += FromPoint(p)
 	})
 
+	//act:alloc-harness FromPointsBatch
+	pts := []geom.Point{p, p, p, p, p}
+	keys := make([]uint64, len(pts))
+	testAllocs(t, "FromPointsBatch", func() {
+		FromPointsBatch(keys, pts, 22)
+		allocSink += CellID(keys[4])
+	})
+
 	//act:alloc-harness fromFaceIJLeaf
 	testAllocs(t, "fromFaceIJLeaf", func() {
 		allocSink += fromFaceIJLeaf(1, 123456, 654321)

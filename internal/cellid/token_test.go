@@ -68,3 +68,29 @@ func mod(v, m float64) float64 {
 	}
 	return v
 }
+
+// TestNYCLeafTokens pins the encoding of a few New York landmarks, so any
+// change to the projection or the Hilbert walk — in FromPoint or in the
+// batch kernel — shows up as a changed token rather than only as a
+// disagreement between the two encoders.
+func TestNYCLeafTokens(t *testing.T) {
+	for _, tc := range []struct {
+		p           geom.Point
+		leaf, lvl22 string
+	}{
+		{geom.Point{X: -73.9857, Y: 40.7484}, "78347f107fc731bd", "78347f107fc7"}, // Empire State Building
+		{geom.Point{X: -74.0445, Y: 40.6892}, "78347de374cf45a7", "78347de374cf"}, // Statue of Liberty
+		{geom.Point{X: -73.9681, Y: 40.7851}, "783380a13740fdc1", "783380a13741"}, // Central Park
+		{geom.Point{X: -73.7781, Y: 40.6413}, "783470517643278b", "783470517643"}, // JFK airport
+	} {
+		if got := FromPoint(tc.p).Token(); got != tc.leaf {
+			t.Errorf("FromPoint(%v) token %q, want %q", tc.p, got, tc.leaf)
+		}
+		var key [1]uint64
+		FromPointsBatch(key[:], []geom.Point{tc.p}, 22)
+		const drop = 2*(MaxLevel-22) + 1
+		if got := CellID(key[0]<<drop | 1).Parent(22).Token(); got != tc.lvl22 {
+			t.Errorf("FromPointsBatch(%v) level-22 token %q, want %q", tc.p, got, tc.lvl22)
+		}
+	}
+}

@@ -14,9 +14,10 @@ import (
 // each shard count it builds a ShardedIndex over the neighborhoods mesh and
 // measures composed batch-join throughput (single- and all-threads) plus the
 // aggregate publish rate with one churn writer per shard, each targeting its
-// own shard's key range. The join columns show the cost of the radix split
-// and fan-out at 1 thread and its payoff with threads to spare; the publish
-// column shows cross-shard write scaling — single-shard commits on different
+// own shard's key range. Every shard count runs the same batch pipeline
+// (one conversion, one global sort, runs routed to their shards), so the
+// join columns should not depend on the shard count; the publish column
+// shows cross-shard write scaling — single-shard commits on different
 // shards share the commit lock in read mode, so on a multi-core host they
 // publish concurrently where the unsharded index serializes on one mutex.
 //

@@ -1,20 +1,32 @@
 // Batch probe pipeline: the throughput-oriented variant of the index nested
-// loop join. Three ideas stack on top of Run's probe loop, following the
-// parallel-join literature (Tsitsigkos et al., "Parallel In-Memory
-// Evaluation of Spatial Joins"; Kipf et al., "Adaptive Geospatial Joins for
-// Modern Hardware"):
+// loop join, and the one path every bulk query of the engine takes, for one
+// shard or many. Following the parallel-join literature (Tsitsigkos et al.,
+// "Parallel In-Memory Evaluation of Spatial Joins" and "Two-layer
+// Space-oriented Partitioning"; Kipf et al., "Adaptive Geospatial Joins for
+// Modern Hardware"), a batch runs in four stages over one schedule:
 //
-//  1. The probe stream is optionally sorted by leaf cell id (a min-offset
-//     LSD radix sort over only the bits the index can distinguish), so
-//     consecutive probes walk the same trie path and touch the same node
-//     cache lines.
-//  2. Each worker caches the validity range of its last probe
-//     (cellindex.RangeIndex): a run of points falling into the same
-//     super-covering cell — or the same false-hit gap — skips the tree walk
-//     entirely. On a sorted stream, runs are maximal.
-//  3. Workers fetch batches of 16 positions via an atomic counter (the
-//     paper's Section 3.4 scheme) and accumulate into private buffers,
-//     merged once at the end.
+//  1. Convert. Workers claim blocks of the input and turn each point into
+//     a probe key — its leaf cell id truncated at the deepest level any
+//     shard indexes (cellid.FromPointsBatch, four points interleaved) —
+//     and tally the key range.
+//  2. Sort (optional). A parallel LSD radix sort packs the keys with
+//     their input positions into one global schedule of words ordered by
+//     key, so consecutive probes walk the same trie path and every index
+//     cell's points form one run. Without Sorted the schedule is the
+//     input order.
+//  3. Route. Shards own contiguous cell-id ranges, so the schedule is not
+//     split by shard at all: each run of probes resolves against the shard
+//     owning its first key, with the index's validity range
+//     (cellindex.RangeIndex) clamped to that shard's range, and the whole
+//     run shares the answer.
+//  4. Probe. The schedule splits into Threads equal contiguous parts, one
+//     worker each, whatever the shard count; workers accumulate into
+//     private counters, merged once at the end.
+//
+// The workers start once per batch and meet at a spinning barrier between
+// stages, so a stage boundary costs no goroutine wake-up. All scratch memory
+// comes from a pool, so a steady stream of batches allocates only the
+// results it returns.
 package join
 
 import (
@@ -34,49 +46,36 @@ import (
 type BatchOptions struct {
 	Mode Mode
 	// Sorted probes the points in ascending cell-id order (results are
-	// still reported in input order). Sorting costs a couple of O(n)
-	// counting passes but maximizes run lengths for the last-range cache
-	// and trie locality.
+	// still reported in input order). Sorting costs up to three O(n)
+	// counting passes but maximizes run lengths and trie locality.
 	Sorted bool
-	// Threads is the worker count; 0 uses all CPUs, 1 runs single-threaded.
+	// Threads is the worker count of every stage; 0 uses all CPUs, 1 runs
+	// single-threaded. It is not divided across shards.
 	Threads int
+}
+
+// Shard is one contiguous cell-id range of an index as the batch pipeline
+// probes it: the probe structure, its lookup table, and the polygon slice
+// its references index (nil slots for polygons the shard does not hold).
+type Shard struct {
+	Index cellindex.Index
+	Table *refs.Table
+	Polys []*geom.Polygon
 }
 
 // leveler is implemented by indexes that know their deepest indexed cell
 // level. Leaf-id bits below that level cannot change a probe's answer, so
-// the sort ignores them — fewer radix passes, identical locality.
+// the conversion stops there and the sort ignores them.
 type leveler interface {
 	MaxCellLevel() int
 }
 
-// span records where one point's result ids landed in a worker's arena.
-type span struct {
-	pos        int // original point index
-	start, end int // arena slice bounds
-}
-
-// batchWorker is the per-worker state: the shared accumulator of the
-// single-point path plus the last-range probe cache and the result arena.
-type batchWorker struct {
-	local
-	cacheHits  int64
-	cacheValid bool
-	cacheLo    cellid.CellID
-	cacheHi    cellid.CellID
-	cacheEntry refs.Entry
-
-	ids   []uint32 // result arena (collect mode)
-	spans []span   // non-empty results, in probe order (parallel collect)
-	out   [][]uint32
-
-	scratch []refs.Ref // decoded entry of the current run (sorted path)
-}
-
 // RunBatchCount is Run through the batch pipeline: per-polygon counts with
-// sorted probing and last-range caching. pts may be nil in Approximate
-// mode, which never touches the geometry.
+// sorted probing and run sharing over precomputed leaf cells. pts may be nil
+// in Approximate mode, which never touches the geometry.
 func RunBatchCount(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []cellid.CellID, polys []*geom.Polygon, opt BatchOptions) Result {
-	_, res := runBatch(idx, table, pts, cells, polys, opt, false)
+	sh := [1]Shard{{Index: idx, Table: table, Polys: polys}}
+	_, res := run(sh[:], nil, len(polys), pts, cells, opt, false)
 	return res
 }
 
@@ -85,33 +84,105 @@ func RunBatchCount(idx cellindex.Index, table *refs.Table, pts []geom.Point, cel
 // reference order as the single-point query path, regardless of Sorted or
 // Threads. pts may be nil in Approximate mode.
 func RunBatchCollect(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []cellid.CellID, polys []*geom.Polygon, opt BatchOptions) ([][]uint32, Result) {
-	return runBatch(idx, table, pts, cells, polys, opt, true)
+	sh := [1]Shard{{Index: idx, Table: table, Polys: polys}}
+	return run(sh[:], nil, len(polys), pts, cells, opt, true)
 }
 
-// batchRun bundles the probe inputs every worker shares, so the probe loops
-// can be declared methods (and carry //act: annotations) instead of closures
-// capturing half of runBatch's frame.
-type batchRun struct {
-	idx     cellindex.Index
-	ri      cellindex.RangeIndex // idx's range interface, nil when not supported
-	table   *refs.Table
-	pts     []geom.Point
-	cells   []cellid.CellID
-	polys   []*geom.Polygon
-	ord     probeOrder
-	n       int
-	exact   bool
-	collect bool
-	// direct marks single-worker runs, which publish result slices straight
-	// into out; parallel workers record spans into their private arena and
-	// merge after the barrier (a growing arena keeps already-published
-	// backing arrays intact, but the final re-slice must happen once appends
-	// stop).
-	direct bool
+// CountPoints joins a batch of points against an index split into shards:
+// shard i owns the leaf ids in [bounds[i-1], bounds[i]) (virtual bounds at
+// the ends of the id space, so len(bounds) == len(shards)-1). Counts has
+// numPolys slots. Result.Duration covers the whole call, conversion
+// included.
+func CountPoints(shards []Shard, bounds []cellid.CellID, numPolys int, pts []geom.Point, opt BatchOptions) Result {
+	_, res := run(shards, bounds, numPolys, pts, nil, opt, false)
+	return res
 }
 
-func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []cellid.CellID, polys []*geom.Polygon, opt BatchOptions, collect bool) ([][]uint32, Result) {
-	n := len(cells)
+// CollectPoints is CountPoints materializing per-point results, as
+// RunBatchCollect.
+func CollectPoints(shards []Shard, bounds []cellid.CellID, numPolys int, pts []geom.Point, opt BatchOptions) ([][]uint32, Result) {
+	return run(shards, bounds, numPolys, pts, nil, opt, true)
+}
+
+// maxSortDigitBits caps the radix digit width of the schedule sort: 2^11
+// int32 counters per worker (8 KiB) stay in L1 and keep the scatter's write
+// streams few, and three passes order all 32 key bits of a schedule word,
+// so every index cell's points end up contiguous.
+const maxSortDigitBits = 11
+
+// convertBlock is the unit of work a worker claims in the conversion
+// stage. Claiming blocks instead of fixed chunks lets the calling
+// goroutine start converting at once while the helpers are still being
+// scheduled; a block's keys are still in L1 when the range tally reads
+// them back.
+const convertBlock = 1024
+
+// pipeline is one batch call's state: the inputs, the scratch buffers and
+// the workers. Instances are pooled, so the scratch slices keep their
+// capacity from call to call.
+type pipeline struct {
+	shards    []Shard
+	ranges    []cellindex.RangeIndex // per shard; nil when the index has no ranges
+	boundKeys []uint64               // the shard bounds as probe keys
+	pts       []geom.Point
+	cells     []cellid.CellID // precomputed leaves, or nil to convert pts
+	n         int
+	level     int  // deepest indexed level: conversion stops here
+	drop      uint // leaf-id bits below level (2*(30-level)+1)
+	sorted    bool
+	exact     bool
+	collect   bool
+	out       [][]uint32
+
+	keys  []uint64 // probe keys, input order
+	words []uint64 // schedule words, and the ping-pong buffers of the sort
+	spare []uint64
+	hist  []int32 // per-worker digit counts of the current pass
+	offs  []int32 // per-worker scatter offsets of the current pass
+
+	workers []*probeWorker
+	next    atomic.Int64 //act:atomic conversion block cursor
+	arrived atomic.Int64 //act:atomic barrier arrivals this batch
+	wg      sync.WaitGroup
+}
+
+// probeWorker is one worker's private accumulator and scratch.
+type probeWorker struct {
+	local
+	cacheHits      int64
+	minKey, maxKey uint64
+	scratch        []refs.Ref // decoded entry of the current run
+	ids            []uint32   // result arena (collect mode)
+}
+
+// schedule is the probe order of a batch: one word per point, rel<<32 |
+// input position, where rel = (key-minKey)>>coarse. When the batch's key
+// range fits in 32 bits, coarse is 0 and a word alone rebuilds its key;
+// otherwise the probe reads the exact key back from the input-order keys.
+// Point counts must fit in 32 bits.
+type schedule struct {
+	words  []uint64
+	minKey uint64
+	coarse uint
+}
+
+var pipelinePool = sync.Pool{New: func() any { return new(pipeline) }}
+
+func run(shards []Shard, bounds []cellid.CellID, numPolys int, pts []geom.Point, cells []cellid.CellID, opt BatchOptions, collect bool) ([][]uint32, Result) {
+	start := time.Now()
+	n := len(pts)
+	if cells != nil {
+		n = len(cells)
+	}
+	var out [][]uint32
+	if collect {
+		out = make([][]uint32, n)
+	}
+	res := Result{Counts: make([]int64, numPolys), Points: n}
+	if n == 0 {
+		res.Duration = time.Since(start)
+		return out, res
+	}
 	threads := opt.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -123,74 +194,17 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 		threads = 1
 	}
 
-	start := time.Now()
-	var ord probeOrder
-	if opt.Sorted {
-		// Drop the leaf-id bits below the index's deepest level: they
-		// cannot move a point to a different indexed cell.
-		drop := uint(0)
-		if lv, ok := idx.(leveler); ok {
-			drop = uint(2*(cellid.MaxLevel-lv.MaxCellLevel()) + 1)
-		}
-		ord = makeProbeOrder(cells, drop)
+	p := pipelinePool.Get().(*pipeline)
+	p.init(shards, bounds, pts, cells, n, threads, numPolys, opt.Sorted, opt.Mode == Exact, out)
+	p.wg.Add(threads - 1)
+	for w := 1; w < threads; w++ {
+		//act:norecover pure-compute batch worker over frozen index state and disjoint scratch ranges; a panic is a broken invariant with no state to contain
+		go p.helper(w, threads)
 	}
+	p.work(0, threads)
+	p.wg.Wait()
 
-	var out [][]uint32
-	if collect {
-		out = make([][]uint32, n)
-	}
-
-	ri, _ := idx.(cellindex.RangeIndex)
-	b := &batchRun{
-		idx: idx, ri: ri, table: table,
-		pts: pts, cells: cells, polys: polys,
-		ord: ord, n: n,
-		exact:   opt.Mode == Exact,
-		collect: collect,
-		direct:  threads == 1,
-	}
-
-	workers := make([]*batchWorker, threads)
-	for i := range workers {
-		w := &batchWorker{local: local{counts: make([]int64, len(polys))}, out: out}
-		if collect {
-			w.ids = make([]uint32, 0, n/threads+batchSize)
-		}
-		workers[i] = w
-	}
-	if b.direct {
-		if ord.packed != nil {
-			b.probeSortedRuns(workers[0])
-		} else {
-			b.probeRange(workers[0], 0, n)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			//act:norecover pure-compute probe worker over frozen state; a panic is a broken invariant with no state to contain
-			go func(w *batchWorker) {
-				defer wg.Done()
-				for {
-					begin := int(cursor.Add(batchSize)) - batchSize
-					if begin >= n {
-						return
-					}
-					end := begin + batchSize
-					if end > n {
-						end = n
-					}
-					b.probeRange(w, begin, end)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	// Merge the per-worker buffers.
-	res := Result{Counts: make([]int64, len(polys)), Points: n}
-	for _, w := range workers {
+	for _, w := range p.workers[:threads] {
 		for i, c := range w.counts {
 			res.Counts[i] += c
 		}
@@ -198,175 +212,369 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 		res.PIPTests += w.pipTests
 		res.SolelyTrueHits += w.sth
 		res.CacheHits += w.cacheHits
-		for _, s := range w.spans {
-			out[s.pos] = w.ids[s.start:s.end:s.end]
-		}
 	}
-	if ord.packed != nil {
-		putScheduleBuf(ord.packed)
-	}
+	p.release()
 	res.Duration = time.Since(start)
 	return out, res
 }
 
-// probeRange runs one worker over claimed positions [begin, end). Not a
-// hotpath function: the per-ref handle closure mutates its captured match
-// flags, which the table-visit indirection needs — the closure-free bulk
-// loop is probeSortedRuns.
-func (b *batchRun) probeRange(w *batchWorker, begin, end int) {
-	for k := begin; k < end; k++ {
-		i := k
-		var leaf cellid.CellID
+// init binds a pooled pipeline to one call and sizes its scratch.
+func (p *pipeline) init(shards []Shard, bounds []cellid.CellID, pts []geom.Point, cells []cellid.CellID, n, threads, numPolys int, sorted, exact bool, out [][]uint32) {
+	p.shards = append(p.shards[:0], shards...)
+	p.ranges = p.ranges[:0]
+	p.level = 0
+	for _, sh := range shards {
+		ri, _ := sh.Index.(cellindex.RangeIndex)
+		p.ranges = append(p.ranges, ri)
+		lv, ok := sh.Index.(leveler)
 		switch {
-		case b.ord.packed != nil:
-			// Sequential read of the sorted schedule; the probe leaf is
-			// rebuilt from the truncated key (bits the index never
-			// reads are zeroed — same answer, no gather into cells).
-			p := b.ord.packed[k]
-			i = int(p >> 32)
-			leaf = cellid.CellID((uint64(uint32(p))+b.ord.minKey)<<b.ord.drop | 1)
-		case b.ord.perm != nil:
-			i = int(b.ord.perm[k])
-			leaf = b.cells[i]
-		default:
-			leaf = b.cells[i]
+		case !ok:
+			p.level = cellid.MaxLevel
+		case lv.MaxCellLevel() > p.level:
+			p.level = lv.MaxCellLevel()
 		}
-		var entry refs.Entry
-		switch {
-		case w.cacheValid && leaf >= w.cacheLo && leaf <= w.cacheHi:
-			entry = w.cacheEntry
-			w.cacheHits++
-		case b.ri != nil:
-			entry, w.cacheLo, w.cacheHi = b.ri.FindRange(leaf)
-			w.cacheEntry = entry
-			w.cacheValid = true
-		default:
-			entry = b.idx.Find(leaf)
+	}
+	// Each bound must survive the truncation, so that a key decides its
+	// shard: deepen the level until every bound is a key boundary.
+	for _, b := range bounds {
+		for p.level < cellid.MaxLevel && uint64(b)&(1<<(2*(cellid.MaxLevel-p.level)+1)-1) != 1 {
+			p.level++
 		}
-		if entry.IsFalseHit() {
-			w.sth++
-			continue
-		}
-		arenaStart := len(w.ids)
-		hadMatch := false
-		hadCandidate := false
-		handle := func(r refs.Ref) {
-			pid := r.PolygonID()
-			if !r.Interior() {
-				hadCandidate = true
-				if b.exact {
-					w.pipTests++
-					if !b.polys[pid].ContainsPoint(b.pts[i]) {
-						return
-					}
-				}
-			}
-			w.counts[pid]++
-			hadMatch = true
-			if b.collect {
-				w.ids = append(w.ids, pid)
-			}
-		}
-		switch entry.Tag() {
-		case refs.TagOneRef:
-			handle(entry.Ref1())
-		case refs.TagTwoRefs:
-			handle(entry.Ref1())
-			handle(entry.Ref2())
-		default:
-			b.table.Visit(entry, handle)
-		}
-		if hadMatch {
-			w.matched++
-		}
-		if !hadCandidate {
-			w.sth++
-		}
-		if b.collect && len(w.ids) > arenaStart {
-			if b.direct {
-				w.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
-			} else {
-				w.spans = append(w.spans, span{pos: i, start: arenaStart, end: len(w.ids)})
-			}
+	}
+	p.drop = uint(2*(cellid.MaxLevel-p.level) + 1)
+	p.boundKeys = p.boundKeys[:0]
+	for _, b := range bounds {
+		p.boundKeys = append(p.boundKeys, uint64(b)>>p.drop)
+	}
+	p.pts, p.cells, p.n = pts, cells, n
+	p.sorted, p.exact, p.collect, p.out = sorted, exact, out != nil, out
+	p.keys = grow(p.keys, n)
+	p.words = grow(p.words, n)
+	p.spare = grow(p.spare, n)
+	p.hist = grow(p.hist, threads<<maxSortDigitBits)
+	p.offs = grow(p.offs, threads<<maxSortDigitBits)
+	p.next.Store(0)
+	p.arrived.Store(0)
+	for len(p.workers) < threads {
+		p.workers = append(p.workers, new(probeWorker))
+	}
+	for _, w := range p.workers[:threads] {
+		w.counts = grow(w.counts, numPolys)
+		clear(w.counts)
+		w.matched, w.pipTests, w.sth, w.cacheHits = 0, 0, 0, 0
+		w.ids = nil
+		if p.collect {
+			w.ids = make([]uint32, 0, n/threads+batchSize)
 		}
 	}
 }
 
-// probeSortedRuns is the specialized single-worker loop over a packed
-// sorted schedule: it resolves each run of points sharing an index cell
-// (or false-hit gap) with one walk and one entry decode, then
-// bulk-applies the outcome — counts grow by the run length in one step.
-// Only exact-mode candidate refs still cost per-point work, because
-// their PIP tests genuinely depend on the point.
-//
-//act:hotpath
-func (b *batchRun) probeSortedRuns(w *batchWorker) {
-	packed := b.ord.packed
-	n := b.n
-	for k := 0; k < n; {
-		p := packed[k]
-		leaf := cellid.CellID((uint64(uint32(p))+b.ord.minKey)<<b.ord.drop | 1)
-		var entry refs.Entry
-		runEnd := k + 1
-		if b.ri != nil {
-			var lo, hi cellid.CellID
-			entry, lo, hi = b.ri.FindRange(leaf)
-			// Keys within a sort bucket are unordered (partial sort),
-			// so the scan needs both range bounds, in raw key space.
-			loKey, hiKey := uint64(lo)>>b.ord.drop, uint64(hi)>>b.ord.drop
-			for runEnd < n {
-				k2 := uint64(uint32(packed[runEnd])) + b.ord.minKey
-				if k2 < loKey || k2 > hiKey {
-					break
-				}
-				runEnd++
+// release drops every reference to the caller's data and returns the
+// pipeline to the pool.
+func (p *pipeline) release() {
+	clear(p.shards)
+	clear(p.ranges)
+	p.pts, p.cells, p.out = nil, nil, nil
+	for _, w := range p.workers {
+		w.ids = nil
+	}
+	pipelinePool.Put(p)
+}
+
+// grow returns s resized to n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (p *pipeline) helper(w, workers int) {
+	defer p.wg.Done()
+	p.work(w, workers)
+}
+
+// work runs every stage for worker w: convert, schedule, probe.
+func (p *pipeline) work(w, workers int) {
+	s := p.stages(w, workers)
+	lo, hi := chunk(p.n, w, workers)
+	p.probeRuns(p.workers[w], &s, lo, hi)
+}
+
+// stages runs worker w's share of the conversion and the schedule sort and
+// returns the finished schedule, identical in every worker.
+func (p *pipeline) stages(w, workers int) schedule {
+	p.convert(w)
+	p.barrier(workers)
+	pl := p.plan(workers)
+	bufs := [2][]uint64{p.words, p.spare}
+	if pl.coarse == 0 {
+		// Exact word keys: the first pass packs the input keys, which are
+		// then dead and serve as the second buffer.
+		bufs[1] = p.keys
+	}
+	var src []uint64
+	for i := uint(0); i < pl.passes; i++ {
+		shift := i * pl.digit
+		pass := sortPass{src: src, dst: bufs[i%2], shift: shift, bits: min(pl.digit, pl.sortBits-shift)}
+		p.histogram(w, workers, &pl, &pass)
+		p.barrier(workers)
+		p.scatter(w, workers, &pl, &pass)
+		p.barrier(workers)
+		src = pass.dst
+	}
+	return schedule{words: src[:p.n], minKey: pl.minKey, coarse: pl.coarse}
+}
+
+// barrier returns once all workers of the batch have called it as often
+// as this one. Stages are short and balanced, so waiting workers spin,
+// yielding their P on every turn: a blocking wait would cost a wake-up per
+// stage, which is longer than most stages.
+func (p *pipeline) barrier(workers int) {
+	if workers == 1 {
+		return
+	}
+	n := int64(workers)
+	target := (p.arrived.Add(1) + n - 1) / n * n
+	for p.arrived.Load() < target {
+		runtime.Gosched()
+	}
+}
+
+// chunk returns worker w's share [lo, hi) of n items split evenly.
+func chunk(n, w, workers int) (lo, hi int) {
+	return n * w / workers, n * (w + 1) / workers
+}
+
+// convert is stage 1: probe keys for the blocks of the input worker w
+// claims, and their key range.
+func (p *pipeline) convert(w int) {
+	minKey, maxKey := ^uint64(0), uint64(0)
+	for {
+		b := int(p.next.Add(convertBlock)) - convertBlock
+		if b >= p.n {
+			break
+		}
+		e := min(b+convertBlock, p.n)
+		keys := p.keys[b:e]
+		if p.cells != nil {
+			for i, c := range p.cells[b:e] {
+				keys[i] = uint64(c) >> p.drop
 			}
 		} else {
-			entry = b.idx.Find(leaf)
-			// Without range information runs degenerate to equal keys.
-			for runEnd < n && uint32(packed[runEnd]) == uint32(p) {
-				runEnd++
-			}
+			cellid.FromPointsBatch(keys, p.pts[b:e], p.level)
 		}
-		w.cacheHits += int64(runEnd - k - 1)
+		for _, k := range keys {
+			minKey = min(minKey, k)
+			maxKey = max(maxKey, k)
+		}
+	}
+	p.workers[w].minKey, p.workers[w].maxKey = minKey, maxKey
+}
+
+// sortPlan is the shape of the schedule sort, derived from the workers'
+// key ranges.
+type sortPlan struct {
+	minKey   uint64
+	coarse   uint // key bits below a word's 32-bit key
+	sortBits uint // word key bits the sort orders: all 32, or 0 unsorted
+	passes   uint
+	digit    uint
+}
+
+// plan derives the sort's shape once every worker has converted its
+// blocks. Each worker computes it on its own, from the same inputs.
+func (p *pipeline) plan(workers int) sortPlan {
+	minKey, maxKey := ^uint64(0), uint64(0)
+	for _, w := range p.workers[:workers] {
+		minKey = min(minKey, w.minKey)
+		maxKey = max(maxKey, w.maxKey)
+	}
+	keyBits := uint(bits.Len64(maxKey - minKey))
+	relBits := min(keyBits, 32)
+	pl := sortPlan{minKey: minKey, coarse: keyBits - relBits}
+	if p.sorted {
+		pl.sortBits = relBits
+	}
+	// Unsorted (or with one distinct key), a single digitless pass packs
+	// the words in input order.
+	pl.passes = max(1, (pl.sortBits+maxSortDigitBits-1)/maxSortDigitBits)
+	pl.digit = (pl.sortBits + pl.passes - 1) / pl.passes
+	return pl
+}
+
+// sortPass is one stable counting pass of the schedule sort: it moves src
+// to dst ordered on the digit (rel>>shift) mod 2^bits of each word's key.
+// The first pass has no src: it packs the words from the input keys.
+type sortPass struct {
+	src, dst []uint64
+	shift    uint
+	bits     uint
+}
+
+// word packs the key at input position i into a schedule word.
+func (pl *sortPlan) word(key uint64, i int) uint64 {
+	return (key-pl.minKey)>>pl.coarse<<32 | uint64(i)
+}
+
+// histogram counts the digits of worker w's chunk of the pass input.
+func (p *pipeline) histogram(w, workers int, pl *sortPlan, s *sortPass) {
+	lo, hi := chunk(p.n, w, workers)
+	h := p.hist[w<<maxSortDigitBits:][:1<<s.bits]
+	if s.bits == 0 {
+		h[0] = int32(hi - lo)
+		return
+	}
+	clear(h)
+	mask := uint64(len(h) - 1)
+	if s.src == nil {
+		for i, k := range p.keys[lo:hi] {
+			h[pl.word(k, lo+i)>>(32+s.shift)&mask]++
+		}
+		return
+	}
+	for _, v := range s.src[lo:hi] {
+		h[v>>(32+s.shift)&mask]++
+	}
+}
+
+// scatter moves worker w's chunk of the pass input to its place in the
+// pass output. Its offsets come from every worker's digit counts: its
+// words of digit d land after every word of a smaller digit and after the
+// digit-d words of the workers before it, so the pass is stable.
+func (p *pipeline) scatter(w, workers int, pl *sortPlan, s *sortPass) {
+	lo, hi := chunk(p.n, w, workers)
+	off := p.offs[w<<maxSortDigitBits:][:1<<s.bits]
+	sum := int32(0)
+	for d := range off {
+		for v := 0; v < workers; v++ {
+			if v == w {
+				off[d] = sum
+			}
+			sum += p.hist[v<<maxSortDigitBits+d]
+		}
+	}
+	mask := uint64(len(off) - 1)
+	dst := s.dst[:p.n]
+	if s.src == nil {
+		for i, k := range p.keys[lo:hi] {
+			v := pl.word(k, lo+i)
+			d := v >> (32 + s.shift) & mask
+			dst[off[d]] = v
+			off[d]++
+		}
+		return
+	}
+	for _, v := range s.src[lo:hi] {
+		d := v >> (32 + s.shift) & mask
+		dst[off[d]] = v
+		off[d]++
+	}
+}
+
+// shardOf returns the shard owning a probe key.
+func (p *pipeline) shardOf(key uint64) int {
+	si := 0
+	for si < len(p.boundKeys) && key >= p.boundKeys[si] {
+		si++
+	}
+	return si
+}
+
+// probeRuns probes schedule positions [begin, end) run by run: the first
+// key of a run is routed to its shard and resolved with one trie walk and
+// one entry decode; the run then extends over every following key inside
+// the answer's validity range, clamped to the shard's own range (a false-hit
+// gap of one shard may reach into the next shard's keys), and the outcome
+// is applied to the whole run at once. Only exact-mode candidate refs cost
+// per-point work, because their PIP tests depend on the point. Indexes
+// without validity ranges resolve every point on its own.
+//
+//act:hotpath
+func (p *pipeline) probeRuns(w *probeWorker, s *schedule, begin, end int) {
+	sched := s.words[:end]
+	drop := p.drop
+	var matched, sth, hits, pipTests int64
+	for k := begin; k < end; {
+		key := p.key(s, sched[k])
+		leaf := cellid.CellID(key<<drop | 1)
+		si := p.shardOf(key)
+		sh := &p.shards[si]
+		var entry refs.Entry
+		runEnd := k + 1
+		if ri := p.ranges[si]; ri != nil {
+			var lo, hi cellid.CellID
+			entry, lo, hi = ri.FindRange(leaf)
+			loKey, hiKey := uint64(lo)>>drop, uint64(hi)>>drop
+			if si > 0 {
+				loKey = max(loKey, p.boundKeys[si-1])
+			}
+			if si < len(p.boundKeys) {
+				hiKey = min(hiKey, p.boundKeys[si]-1)
+			}
+			// The scan checks both ends of the range: an unsorted
+			// schedule is in input order.
+			if s.coarse == 0 {
+				// Compare word keys directly: rel = key-minKey, and
+				// every key of the batch is at least minKey.
+				loRel := max(loKey, s.minKey) - s.minKey
+				hiRel := min(hiKey, s.minKey+1<<32-1) - s.minKey
+				for runEnd < end {
+					if r := sched[runEnd] >> 32; r < loRel || r > hiRel {
+						break
+					}
+					runEnd++
+				}
+			} else {
+				for runEnd < end {
+					if k2 := p.keys[uint32(sched[runEnd])]; k2 < loKey || k2 > hiKey {
+						break
+					}
+					runEnd++
+				}
+			}
+			hits += int64(runEnd - k - 1)
+		} else {
+			entry = sh.Index.Find(leaf)
+		}
 		runLen := int64(runEnd - k)
 		if entry.IsFalseHit() {
-			w.sth += runLen
+			sth += runLen
 			k = runEnd
 			continue
 		}
-		w.scratch = b.table.AppendRefs(w.scratch[:0], entry)
+		w.scratch = sh.Table.AppendRefs(w.scratch[:0], entry)
 		nCand := 0
 		for _, r := range w.scratch {
 			if !r.Interior() {
 				nCand++
 			}
 		}
-		if b.exact && nCand > 0 {
-			// Refine per point, in entry order like the generic path.
+		if p.exact && nCand > 0 {
+			// Refine per point, in entry order like the single-point path.
 			for kk := k; kk < runEnd; kk++ {
-				i := int(packed[kk] >> 32)
+				i := int(uint32(sched[kk]))
 				arenaStart := len(w.ids)
 				hadMatch := false
 				for _, r := range w.scratch {
 					pid := r.PolygonID()
 					if !r.Interior() {
-						w.pipTests++
-						if !b.polys[pid].ContainsPoint(b.pts[i]) {
+						pipTests++
+						if !sh.Polys[pid].ContainsPoint(p.pts[i]) {
 							continue
 						}
 					}
 					w.counts[pid]++
 					hadMatch = true
-					if b.collect {
+					if p.collect {
 						w.ids = append(w.ids, pid)
 					}
 				}
 				if hadMatch {
-					w.matched++
+					matched++
 				}
-				if b.collect && len(w.ids) > arenaStart {
-					w.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
+				if p.collect && len(w.ids) > arenaStart {
+					p.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
 				}
 			}
 			k = runEnd
@@ -377,179 +585,32 @@ func (b *batchRun) probeSortedRuns(w *batchWorker) {
 			w.counts[r.PolygonID()] += runLen
 		}
 		if len(w.scratch) > 0 {
-			w.matched += runLen
+			matched += runLen
 		}
 		if nCand == 0 {
-			w.sth += runLen
+			sth += runLen
 		}
-		if b.collect && len(w.scratch) > 0 {
+		if p.collect && len(w.scratch) > 0 {
 			for kk := k; kk < runEnd; kk++ {
-				i := int(packed[kk] >> 32)
 				arenaStart := len(w.ids)
 				for _, r := range w.scratch {
 					w.ids = append(w.ids, r.PolygonID())
 				}
-				w.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
+				p.out[uint32(sched[kk])] = w.ids[arenaStart:len(w.ids):len(w.ids)]
 			}
 		}
 		k = runEnd
 	}
+	w.matched += matched
+	w.sth += sth
+	w.cacheHits += hits
+	w.pipTests += pipTests
 }
 
-// maxSortDigitBits caps the radix digit width: 2^15 int32 counters (128
-// KiB) stay cache-resident while city-scale key ranges (20-30 significant
-// bits) finish in two passes.
-const maxSortDigitBits = 15
-
-// schedulePool recycles the sort's ping-pong buffers. A high-traffic caller
-// invokes CoversBatch/JoinCount back to back; without recycling, the two
-// transient schedule buffers alone double the per-call garbage and with it
-// the GC mark frequency.
-var schedulePool sync.Pool
-
-func scheduleBuf(n int) []uint64 {
-	if v, ok := schedulePool.Get().(*[]uint64); ok && cap(*v) >= n {
-		return (*v)[:n]
+// key rebuilds the probe key of a schedule word.
+func (p *pipeline) key(s *schedule, word uint64) uint64 {
+	if s.coarse == 0 {
+		return s.minKey + word>>32
 	}
-	return make([]uint64, n)
-}
-
-func putScheduleBuf(b []uint64) {
-	schedulePool.Put(&b)
-}
-
-// probeOrder is a sorted probe schedule. Exactly one representation is set:
-// packed words (the fast path — low 32 bits hold the min-offset truncated
-// key, high 32 bits the point index, so the probe loop reads the schedule
-// sequentially and reconstructs a probe-equivalent leaf without gathering
-// from cells), a plain index permutation (wide-key fallback), or neither
-// (input order, when all keys collapse to one truncated value).
-//
-// The packed schedule is ordered on the keys' top bucketShift-excluded bits
-// only (see sortPacked); keys themselves keep full truncated resolution for
-// exact run detection.
-type probeOrder struct {
-	packed      []uint64
-	perm        []uint32
-	minKey      uint64
-	drop        uint
-	bucketShift uint // key bits below this may be unordered
-}
-
-// makeProbeOrder sorts the probe stream by cells[i]>>drop with a min-offset
-// LSD radix sort: only bits that actually vary across the stream cost a
-// counting pass. O(n) time, two transient buffers. Point counts must fit in
-// 32 bits (a 4-billion-point probe array would not fit in memory anyway).
-func makeProbeOrder(cells []cellid.CellID, drop uint) probeOrder {
-	n := len(cells)
-	if n == 0 {
-		return probeOrder{}
-	}
-	if drop > 63 {
-		drop = 63
-	}
-	minKey, maxKey := uint64(cells[0])>>drop, uint64(cells[0])>>drop
-	for _, c := range cells {
-		k := uint64(c) >> drop
-		if k < minKey {
-			minKey = k
-		}
-		if k > maxKey {
-			maxKey = k
-		}
-	}
-	keyBits := uint(bits.Len64(maxKey - minKey))
-	switch {
-	case keyBits == 0:
-		return probeOrder{} // one distinct key: input order is sorted
-	case keyBits <= 32:
-		packed, bucketShift := sortPacked(cells, drop, minKey, keyBits)
-		return probeOrder{packed: packed, minKey: minKey, drop: drop, bucketShift: bucketShift}
-	default:
-		return probeOrder{perm: sortWide(cells, drop, minKey, keyBits)}
-	}
-}
-
-// sortPacked orders key|idx<<32 words by the top maxSortDigitBits of their
-// varying key range in a single counting pass. The bits below stay
-// unordered — a deliberate partial sort: an index cell at or above the
-// bucket granularity still gets all its points contiguous (its key range
-// spans whole buckets), so the probe loop's run detection loses nothing on
-// the coarse interior cells where the long runs live, while the sort does a
-// fraction of the work of a full-resolution ordering. Returns the schedule
-// and the shift below which keys are unordered.
-func sortPacked(cells []cellid.CellID, drop uint, minKey uint64, keyBits uint) ([]uint64, uint) {
-	n := len(cells)
-	a := scheduleBuf(n)
-	for i, c := range cells {
-		a[i] = (uint64(c)>>drop - minKey) | uint64(i)<<32
-	}
-	b := scheduleBuf(n)
-	shift := uint(0)
-	if keyBits > maxSortDigitBits {
-		shift = keyBits - maxSortDigitBits
-	}
-	mask := uint64(1<<(keyBits-shift) - 1)
-	counts := make([]int32, mask+1)
-	for _, p := range a {
-		counts[(p>>shift)&mask]++
-	}
-	sum := int32(0)
-	for i := range counts {
-		c := counts[i]
-		counts[i] = sum
-		sum += c
-	}
-	for _, p := range a {
-		d := (p >> shift) & mask
-		b[counts[d]] = p
-		counts[d]++
-	}
-	putScheduleBuf(a)
-	return b, shift
-}
-
-// sortWide is the fallback for key ranges over 32 bits: interleaved
-// (key, idx) word pairs in pooled buffers, fixed 11-bit digits, returning
-// an index permutation.
-func sortWide(cells []cellid.CellID, drop uint, minKey uint64, keyBits uint) []uint32 {
-	const digit = 11
-	n := len(cells)
-	a := scheduleBuf(2 * n)
-	for i, c := range cells {
-		a[2*i] = uint64(c)>>drop - minKey
-		a[2*i+1] = uint64(i)
-	}
-	b := scheduleBuf(2 * n)
-	var counts [1 << digit]int32
-	const mask = uint64(1<<digit - 1)
-	for shift := uint(0); shift < keyBits; shift += digit {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for i := 0; i < 2*n; i += 2 {
-			counts[(a[i]>>shift)&mask]++
-		}
-		sum := int32(0)
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for i := 0; i < 2*n; i += 2 {
-			d := (a[i] >> shift) & mask
-			j := 2 * counts[d]
-			b[j] = a[i]
-			b[j+1] = a[i+1]
-			counts[d]++
-		}
-		a, b = b, a
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = uint32(a[2*i+1])
-	}
-	putScheduleBuf(a)
-	putScheduleBuf(b)
-	return out
+	return p.keys[uint32(word)]
 }

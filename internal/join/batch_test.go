@@ -2,10 +2,12 @@ package join
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/cellindex"
+	"actjoin/internal/geom"
 	"actjoin/internal/refs"
 )
 
@@ -140,70 +142,99 @@ func TestBatchEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// orderIndices flattens a probeOrder into the index sequence it schedules.
-func orderIndices(ord probeOrder, n int) []int {
-	out := make([]int, n)
-	for k := range out {
-		switch {
-		case ord.packed != nil:
-			out[k] = int(ord.packed[k] >> 32)
-		case ord.perm != nil:
-			out[k] = int(ord.perm[k])
-		default:
-			out[k] = k
+// sortedSchedule runs the pipeline's convert and schedule stages over
+// cells against idx on the given number of workers and returns the
+// pipeline with the schedule.
+func sortedSchedule(t *testing.T, idx cellindex.Index, cells []cellid.CellID, workers int, sorted bool) (*pipeline, schedule) {
+	t.Helper()
+	p := new(pipeline)
+	sh := []Shard{{Index: idx}}
+	p.init(sh, nil, nil, cells, len(cells), workers, 1, sorted, false, nil)
+	scheds := make([]schedule, workers)
+	var wg sync.WaitGroup
+	for w := range scheds {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			scheds[w] = p.stages(w, workers)
+		}(w)
+	}
+	wg.Wait()
+	for _, s := range scheds[1:] {
+		if &s.words[0] != &scheds[0].words[0] || s.minKey != scheds[0].minKey || s.coarse != scheds[0].coarse {
+			t.Fatal("workers disagree on the schedule")
 		}
 	}
-	return out
+	return p, scheds[0]
 }
 
-func TestMakeProbeOrder(t *testing.T) {
+func TestSchedule(t *testing.T) {
 	f := newFixture(t, false, 5000)
-	for _, drop := range []uint{0, 17, 25, 63, 80} {
-		eff := drop
-		if eff > 63 {
-			eff = 63
-		}
-		ord := makeProbeOrder(f.cells, drop)
-		idxs := orderIndices(ord, len(f.cells))
-		seen := make([]bool, len(idxs))
-		for k := 1; k < len(idxs); k++ {
-			// The packed schedule guarantees order only above bucketShift,
-			// measured on min-offset keys (partial sort); the perm fallback
-			// is fully ordered.
-			prev := (uint64(f.cells[idxs[k-1]])>>eff - ord.minKey) >> ord.bucketShift
-			cur := (uint64(f.cells[idxs[k]])>>eff - ord.minKey) >> ord.bucketShift
-			if prev > cur {
-				t.Fatalf("drop %d: truncated order not ascending at %d", drop, k)
-			}
-		}
-		for _, i := range idxs {
-			if seen[i] {
-				t.Fatalf("drop %d: index %d appears twice", drop, i)
-			}
-			seen[i] = true
-		}
-		if ord.packed != nil {
-			// The reconstructed probe leaf must agree with the real leaf on
-			// every bit above drop (the bits any index up to that level
-			// reads), and be a valid leaf cell.
-			for k, p := range ord.packed {
-				rep := cellid.CellID((uint64(uint32(p))+ord.minKey)<<ord.drop | 1)
-				real := f.cells[idxs[k]]
-				if rep>>eff != real>>eff {
-					t.Fatalf("drop %d: pos %d: rep %v disagrees with leaf %v above bit %d",
-						drop, k, rep, real, eff)
-				}
-				if !rep.IsValid() || !rep.IsLeaf() {
-					t.Fatalf("drop %d: rep %#x is not a valid leaf", drop, uint64(rep))
+	wide := append([]cellid.CellID{cellid.FromPoint(geom.Point{X: 150, Y: -80})}, f.cells...)
+	for _, workers := range []int{1, 3} {
+		for _, idx := range []cellindex.Index{f.actT, f.gbt} {
+			for _, cells := range [][]cellid.CellID{f.cells, wide} {
+				for _, sorted := range []bool{false, true} {
+					p, s := sortedSchedule(t, idx, cells, workers, sorted)
+					keys := make([]uint64, len(cells))
+					for i, c := range cells {
+						keys[i] = uint64(c) >> p.drop
+					}
+					seen := make([]bool, len(cells))
+					for k, word := range s.words {
+						i := int(uint32(word))
+						if seen[i] {
+							t.Fatalf("position %d scheduled twice", i)
+						}
+						seen[i] = true
+						// Each word rebuilds its point's key: the leaf
+						// truncated at the deepest indexed level.
+						if got := p.key(&s, word); got != keys[i] {
+							t.Fatalf("slot %d: key %#x, want %#x", k, got, keys[i])
+						}
+						if leaf := cellid.CellID(keys[i]<<p.drop | 1); !leaf.IsValid() || !leaf.IsLeaf() {
+							t.Fatalf("slot %d: rebuilt leaf %#x invalid", k, uint64(leaf))
+						}
+						switch {
+						case !sorted && i != k:
+							t.Fatalf("unsorted slot %d holds position %d", k, i)
+						case sorted && k > 0 && s.words[k-1]>>32 > word>>32:
+							t.Fatalf("slot %d: word key %#x after %#x", k, word>>32, s.words[k-1]>>32)
+						}
+					}
 				}
 			}
 		}
 	}
-	if ord := makeProbeOrder(nil, 0); ord.packed != nil || ord.perm != nil {
-		t.Error("empty input must schedule input order")
+	// An index without a level keeps the whole leaf id; a world-wide batch
+	// needs more than the word's 32 key bits.
+	if p, _ := sortedSchedule(t, f.gbt, f.cells, 1, true); p.drop != 1 {
+		t.Errorf("levelless index: drop %d, want 1", p.drop)
 	}
-	one := makeProbeOrder([]cellid.CellID{cellid.FromPoint(f.pts[0])}, 0)
-	if got := orderIndices(one, 1); len(got) != 1 || got[0] != 0 {
-		t.Errorf("singleton order = %v", got)
+	if _, s := sortedSchedule(t, f.actT, wide, 1, true); s.coarse == 0 {
+		t.Error("world-wide batch packed exact word keys")
+	}
+	if p, s := sortedSchedule(t, f.actT, f.cells, 1, true); p.level != f.actT.MaxCellLevel() || s.coarse != 0 {
+		t.Errorf("level %d, coarse %d: want the index's level %d and exact word keys", p.level, s.coarse, f.actT.MaxCellLevel())
+	}
+}
+
+// TestBatchWideKeyRange joins a batch whose keys span more than a schedule
+// word's 32 key bits — points on other faces and at the world's corners
+// beside the city — so the probe reads exact keys back from the input
+// order.
+func TestBatchWideKeyRange(t *testing.T) {
+	f := newFixture(t, true, 8000)
+	pts := append([]geom.Point{{X: 150, Y: -80}, {X: -179, Y: 89}, {X: 0, Y: 0}}, f.pts...)
+	cells := make([]cellid.CellID, len(pts))
+	for i, p := range pts {
+		cells[i] = cellid.FromPoint(p)
+	}
+	for _, opt := range batchVariants() {
+		want := Run(f.actT, f.table, pts, cells, f.polys, Options{Mode: opt.Mode})
+		got := RunBatchCount(f.actT, f.table, pts, cells, f.polys, opt)
+		if !reflect.DeepEqual(got.Counts, want.Counts) || got.Matched != want.Matched || got.SolelyTrueHits != want.SolelyTrueHits {
+			t.Errorf("%+v: wide batch diverges from Run", opt)
+		}
 	}
 }

@@ -24,36 +24,38 @@ func testAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
-// TestNoAllocHarness is allocbound's dynamic cross-check: the bulk probe
-// loop runs under testing.AllocsPerRun over a packed sorted schedule, the
-// configuration the batch join uses in steady state. The
+// TestNoAllocHarness is allocbound's dynamic cross-check: the run probe
+// loop runs under testing.AllocsPerRun over a sorted schedule on two
+// shards, the configuration the batch join uses in steady state. The
 // //act:alloc-harness marker is what `actvet` matches against the
 // annotated function.
 func TestNoAllocHarness(t *testing.T) {
 	leaf := cellid.FromPoint(geom.Point{X: -73.98, Y: 40.71})
 	tbl := refs.NewTable()
 	entry := tbl.Encode([]refs.Ref{refs.MakeRef(3, true)})
-	tr := act.Build([]cellindex.KeyEntry{
-		{Key: leaf.Parent(6), Entry: entry},
-	}, act.Delta4)
+	cell := leaf.Parent(6)
+	tr := act.Build([]cellindex.KeyEntry{{Key: cell, Entry: entry}}, act.Delta4)
 
-	// 1024 nearby leaves: distinct keys in a narrow range, so the radix
-	// sort produces the packed schedule probeSortedRuns consumes.
+	// 1024 nearby leaves in a narrow range, split between two shards at a
+	// bound inside the indexed cell.
 	cells := make([]cellid.CellID, 1024)
 	for i := range cells {
 		cells[i] = cellid.CellID(uint64(leaf) + uint64(2*i))
 	}
-	ord := makeProbeOrder(cells, 0)
-	if ord.packed == nil {
-		t.Fatal("probe order did not pack — harness input no longer matches the sorted path")
-	}
-	b := &batchRun{idx: tr, ri: tr, table: tbl, ord: ord, n: len(cells)}
-	w := &batchWorker{local: local{counts: make([]int64, 4)}}
+	bounds := []cellid.CellID{cells[512]}
+	shards := []Shard{{Index: tr, Table: tbl}, {Index: tr, Table: tbl}}
+	p := new(pipeline)
+	p.init(shards, bounds, nil, cells, len(cells), 1, 4, true, false, nil)
+	s := p.stages(0, 1)
+	w := p.workers[0]
 
-	//act:alloc-harness batchRun.probeSortedRuns
-	testAllocs(t, "batchRun.probeSortedRuns", func() {
+	//act:alloc-harness pipeline.probeRuns
+	testAllocs(t, "pipeline.probeRuns", func() {
 		w.counts[3], w.sth, w.cacheHits, w.matched = 0, 0, 0, 0
-		b.probeSortedRuns(w)
+		p.probeRuns(w, &s, 0, p.n)
 		allocSink += w.counts[3]
 	})
+	if w.counts[3] != int64(len(cells)) {
+		t.Errorf("harness probe counted %d points, want %d", w.counts[3], len(cells))
+	}
 }

@@ -1,9 +1,10 @@
-// Probe-stream splitting for sharded indexes: a sharded engine partitions
-// the covering into contiguous cell-id ranges, so a batch of probe points
-// radix-splits into per-shard sub-streams that independent workers can join
-// against their shard's frozen structures in parallel (Tsitsigkos et al.,
-// "Two-layer Space-oriented Partitioning": partition once, then run the
-// per-partition joins with no coordination).
+// Stream splitting for sharded indexes: a sharded engine partitions the
+// covering into contiguous cell-id ranges, so a stream of points
+// radix-splits into per-shard sub-streams that each shard processes on its
+// own (Tsitsigkos et al., "Two-layer Space-oriented Partitioning": partition
+// once, then run the per-partition work with no coordination). Training
+// splits its query stream this way; batch joins do not split at all, they
+// route runs of a global schedule (see batch.go).
 package join
 
 import (

@@ -28,8 +28,9 @@ import (
 // ("Two-layer Space-oriented Partitioning"): split once along the cell-id
 // (Hilbert) order, then run the per-partition work with no coordination.
 // Super-covering cells are disjoint, so every probe point has exactly one
-// owning shard and a batch radix-splits into per-shard sub-streams (see
-// join.PartitionByShard). A covering cell that would span a shard boundary
+// owning shard: the batch pipeline routes each run of probes to it (see
+// internal/join), and training radix-splits its stream into per-shard
+// sub-streams (join.PartitionByShard). A covering cell that would span a shard boundary
 // is decomposed into its children until each piece lands in one shard —
 // query-equivalent to inserting the parent, since a containment test
 // against the parent and against the child holding the probe's leaf answer

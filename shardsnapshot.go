@@ -3,8 +3,6 @@ package actjoin
 import (
 	"io"
 	"runtime"
-	"sync"
-	"time"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/fault"
@@ -26,9 +24,10 @@ import (
 // cross-shard ordering promise, exactly as independent mutations on two
 // separate indexes would not.
 type ShardedSnapshot struct {
-	shards []*Snapshot //act:frozen
-	router shardRouter //act:frozen
-	gen    uint64      // commit generation (even) the composition was pinned at
+	shards []*Snapshot  //act:frozen
+	probe  []join.Shard //act:frozen — the shards as the batch pipeline probes them
+	router shardRouter  //act:frozen
+	gen    uint64       // commit generation (even) the composition was pinned at
 }
 
 // seqlockSpins bounds Current's optimistic retries before it serializes
@@ -57,7 +56,7 @@ func (six *ShardedIndex) Current() *ShardedSnapshot {
 			snaps[i] = sh.Current()
 		}
 		if six.gen.Load() == g {
-			return &ShardedSnapshot{shards: snaps, router: six.router, gen: g}
+			return newShardedSnapshot(snaps, six.router, g)
 		}
 	}
 	// Contended: serialize behind the committers instead of spinning on.
@@ -67,7 +66,15 @@ func (six *ShardedIndex) Current() *ShardedSnapshot {
 	}
 	g := six.gen.Load()
 	six.wmu.RUnlock()
-	return &ShardedSnapshot{shards: snaps, router: six.router, gen: g}
+	return newShardedSnapshot(snaps, six.router, g)
+}
+
+func newShardedSnapshot(snaps []*Snapshot, router shardRouter, gen uint64) *ShardedSnapshot {
+	probe := make([]join.Shard, len(snaps))
+	for i, sh := range snaps {
+		probe[i] = sh.probeShard()[0]
+	}
+	return &ShardedSnapshot{shards: snaps, probe: probe, router: router, gen: gen}
 }
 
 // NumPolygons returns the number of polygon id slots in this view (live
@@ -119,51 +126,20 @@ func (s *ShardedSnapshot) query(p Point, exact bool) []PolygonID {
 }
 
 // CoversBatch answers many point queries in one call, identical to
-// Snapshot.CoversBatch: the probe stream is radix-split into per-shard
-// sub-streams (stable, so results scatter back to input order) and the
-// shards' batch pipelines run in parallel, each with its share of the
-// thread budget.
+// Snapshot.CoversBatch: one batch pipeline converts and sorts the whole
+// batch and routes each run of probes to the shard owning it; all
+// opt.Threads workers serve every shard.
 func (s *ShardedSnapshot) CoversBatch(points []Point, opt QueryOptions) [][]PolygonID {
-	if len(s.shards) == 1 {
-		return s.shards[0].CoversBatch(points, opt)
-	}
-	pts, cells, release := toProbeParallel(points, opt.Threads, opt.Exact)
-	order, offsets := join.PartitionByShard(cells, s.router.bounds)
-	out := make([][]PolygonID, len(points))
-	s.runShards(pts, cells, order, offsets, opt, out)
-	release()
+	out, _ := join.CollectPoints(s.probe, s.router.bounds, s.NumPolygons(), geomPoints(points), opt.internal())
 	return out
 }
 
-// JoinCount counts points per polygon through the shards' batch pipelines,
+// JoinCount counts points per polygon through the batch pipeline,
 // identical in Counts to Snapshot.JoinCount on an equivalent unsharded
-// index. The probe-phase metrics are summed across shards; PIPTests and
-// CacheHits depend on per-shard probe order and cache locality, so their
-// values (not the Counts) can differ from an unsharded run.
+// index. PIPTests and CacheHits depend on where the shard bounds cut runs,
+// so their values (not the Counts) can differ from an unsharded run.
 func (s *ShardedSnapshot) JoinCount(points []Point, opt QueryOptions) JoinResult {
-	if len(s.shards) == 1 {
-		return s.shards[0].JoinCount(points, opt)
-	}
-	start := time.Now()
-	pts, cells, release := toProbeParallel(points, opt.Threads, opt.Exact)
-	order, offsets := join.PartitionByShard(cells, s.router.bounds)
-	parts := s.runShards(pts, cells, order, offsets, opt, nil)
-	release()
-	merged := join.Result{Counts: make([]int64, s.NumPolygons()), Points: len(points)}
-	for _, res := range parts {
-		if res == nil {
-			continue
-		}
-		for pid, c := range res.Counts {
-			merged.Counts[pid] += c
-		}
-		merged.Matched += res.Matched
-		merged.PIPTests += res.PIPTests
-		merged.SolelyTrueHits += res.SolelyTrueHits
-		merged.CacheHits += res.CacheHits
-	}
-	merged.Duration = time.Since(start)
-	return toJoinResult(merged)
+	return toJoinResult(join.CountPoints(s.probe, s.router.bounds, s.NumPolygons(), geomPoints(points), opt.internal()))
 }
 
 // Join counts points per polygon.
@@ -171,76 +147,6 @@ func (s *ShardedSnapshot) JoinCount(points []Point, opt QueryOptions) JoinResult
 // Deprecated: use JoinCount, as with Snapshot.Join.
 func (s *ShardedSnapshot) Join(points []Point, exact bool, threads int) JoinResult {
 	return s.JoinCount(points, QueryOptions{Exact: exact, Threads: threads})
-}
-
-// runShards fans a partitioned probe stream out to per-shard workers. The
-// sub-streams are gathered into contiguous buffers (the batch pipeline
-// probes slices), each participating shard joins its sub-stream with an
-// equal share of the thread budget, and collect-mode results scatter back
-// through the partition's order into out (indexed by input position).
-// Returns the per-shard results, indexed by shard, nil for shards with no
-// probes.
-func (s *ShardedSnapshot) runShards(pts []geom.Point, cells []cellid.CellID, order []int32, offsets []int, opt QueryOptions, out [][]PolygonID) []*join.Result {
-	active := 0
-	for si := range s.shards {
-		if offsets[si+1] > offsets[si] {
-			active++
-		}
-	}
-	results := make([]*join.Result, len(s.shards))
-	if active == 0 {
-		return results
-	}
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	subOpt := opt
-	if subOpt.Threads = threads / active; subOpt.Threads < 1 {
-		subOpt.Threads = 1
-	}
-	gcells := make([]cellid.CellID, len(order))
-	var gpts []geom.Point
-	if pts != nil {
-		gpts = make([]geom.Point, len(order))
-	}
-	for k, idx := range order {
-		gcells[k] = cells[idx]
-		if gpts != nil {
-			gpts[k] = pts[idx]
-		}
-	}
-	var wg sync.WaitGroup
-	for si := range s.shards {
-		lo, hi := offsets[si], offsets[si+1]
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		//act:norecover pure-compute join fan-out over frozen shard snapshots; a panic is a broken invariant with no state to contain
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			sh := s.shards[si]
-			var sp []geom.Point
-			if gpts != nil {
-				sp = gpts[lo:hi]
-			}
-			if out != nil {
-				sub, res := join.RunBatchCollect(sh.tree, sh.table, sp, gcells[lo:hi], sh.polys, subOpt.internal())
-				for k, ids := range sub {
-					if len(ids) > 0 {
-						out[order[lo+k]] = ids
-					}
-				}
-				results[si] = &res
-			} else {
-				res := join.RunBatchCount(sh.tree, sh.table, sp, gcells[lo:hi], sh.polys, subOpt.internal())
-				results[si] = &res
-			}
-		}(si, lo, hi)
-	}
-	wg.Wait()
-	return results
 }
 
 // WriteTo serializes the composed view in the exact format and byte order

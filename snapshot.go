@@ -46,11 +46,13 @@ type QueryOptions struct {
 	// Covers. When false, results match CoversApprox.
 	Exact bool
 	// Sorted probes the points in cell-id order internally, so runs of
-	// nearby points share trie paths and the last-cell cache. Results are
-	// always reported in input order.
+	// nearby points share one trie walk. Results are always reported in
+	// input order.
 	Sorted bool
-	// Threads is the number of probe workers; 0 uses all CPUs, 1 runs
-	// single-threaded.
+	// Threads is the number of workers of every batch stage (conversion,
+	// sort, probe); 0 uses all CPUs, 1 runs single-threaded. A sharded
+	// index does not divide it across shards: every worker probes whichever
+	// shards its part of the batch touches.
 	Threads int
 }
 
@@ -123,24 +125,26 @@ func (s *Snapshot) queryLeaf(gp geom.Point, leaf cellid.CellID, exact bool) []Po
 // CoversBatch answers many point queries in one call: out[i] holds the ids
 // of the polygons covering points[i] (nil when none), identical to calling
 // Covers (with opt.Exact) or CoversApprox per point, but through the batch
-// probe pipeline — optionally cell-id-sorted, last-cell-cached, and
-// parallelized with the paper's atomic-counter batching.
+// probe pipeline — optionally cell-id-sorted, run-shared, and parallelized
+// over opt.Threads workers.
 func (s *Snapshot) CoversBatch(points []Point, opt QueryOptions) [][]PolygonID {
-	pts, cells, release := toProbeParallel(points, opt.Threads, opt.Exact)
-	out, _ := join.RunBatchCollect(s.tree, s.table, pts, cells, s.polys, opt.internal())
-	release()
+	sh := s.probeShard()
+	out, _ := join.CollectPoints(sh[:], nil, len(s.polys), geomPoints(points), opt.internal())
 	return out
 }
 
 // JoinCount counts points per polygon through the batch probe pipeline:
 // Counts[pid] is the number of points covered by polygon pid, honoring
-// QueryOptions (exactness, sorted probing, last-cell caching, threads). The
-// returned CacheHits reports how many probes skipped the trie walk.
+// QueryOptions (exactness, sorted probing, threads). The returned CacheHits
+// reports how many probes shared a run's trie walk.
 func (s *Snapshot) JoinCount(points []Point, opt QueryOptions) JoinResult {
-	pts, cells, release := toProbeParallel(points, opt.Threads, opt.Exact)
-	res := join.RunBatchCount(s.tree, s.table, pts, cells, s.polys, opt.internal())
-	release()
-	return toJoinResult(res)
+	sh := s.probeShard()
+	return toJoinResult(join.CountPoints(sh[:], nil, len(s.polys), geomPoints(points), opt.internal()))
+}
+
+// probeShard is the snapshot as the batch pipeline's one shard.
+func (s *Snapshot) probeShard() [1]join.Shard {
+	return [1]join.Shard{{Index: s.tree, Table: s.table, Polys: s.polys}}
 }
 
 // Join counts points per polygon — the paper's evaluation workload.
@@ -162,10 +166,12 @@ type JoinResult struct {
 	// STHPercent is the share of points answered without any candidate hit
 	// (the paper's "solely true hits" metric).
 	STHPercent float64
-	// CacheHits is the number of probes answered from the batch pipeline's
-	// last-cell cache without a trie walk.
+	// CacheHits is the number of probes answered without a trie walk of
+	// their own: every point of a run after the first shares the run's
+	// walk.
 	CacheHits int64
-	// Duration is the probe-phase wall time.
+	// Duration is the wall time of the whole call: point conversion,
+	// sorting, probing and merging the per-worker counts.
 	Duration time.Duration
 	// ThroughputMpts is points per second in millions.
 	ThroughputMpts float64
