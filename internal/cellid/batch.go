@@ -73,7 +73,9 @@ func FromPointsBatch(keys []uint64, pts []geom.Point, level int) {
 // coordinates of p, with the same float operations as faceOf, faceRect and
 // stToIJ. Truncating instead of flooring gives the same grid coordinate,
 // because the two only differ on negative values, which clamp to 0 either
-// way.
+// way. It is written out instead of calling those helpers because it must
+// inline into the four-way loop: composed from them, the kernel costs about
+// half as much again per point.
 func project(p geom.Point) (face uint64, i, j uint32) {
 	col := int((p.X + 180) / 120)
 	if col < 0 {

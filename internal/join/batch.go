@@ -26,7 +26,7 @@
 // The workers start once per batch and meet at a spinning barrier between
 // stages, so a stage boundary costs no goroutine wake-up. All scratch memory
 // comes from a pool, so a steady stream of batches allocates only the
-// results it returns.
+// results it returns and the closures that start the extra workers.
 package join
 
 import (
@@ -302,11 +302,22 @@ func (p *pipeline) work(w, workers int) {
 }
 
 // stages runs worker w's share of the conversion and the schedule sort and
-// returns the finished schedule, identical in every worker.
+// returns the schedule, identical in every worker. A sorted schedule is
+// complete on return; an unsorted one is complete in the worker's own
+// probe part.
 func (p *pipeline) stages(w, workers int) schedule {
 	p.convert(w)
 	p.barrier(workers)
 	pl := p.plan(workers)
+	if pl.passes == 0 {
+		// Input order: each worker packs its own chunk, which is the part
+		// of the schedule it goes on to probe.
+		lo, hi := chunk(p.n, w, workers)
+		for i, k := range p.keys[lo:hi] {
+			p.words[lo+i] = pl.word(k, lo+i)
+		}
+		return schedule{words: p.words[:p.n], minKey: pl.minKey, coarse: pl.coarse}
+	}
 	bufs := [2][]uint64{p.words, p.spare}
 	if pl.coarse == 0 {
 		// Exact word keys: the first pass packs the input keys, which are
@@ -377,8 +388,8 @@ func (p *pipeline) convert(w int) {
 type sortPlan struct {
 	minKey   uint64
 	coarse   uint // key bits below a word's 32-bit key
-	sortBits uint // word key bits the sort orders: all 32, or 0 unsorted
-	passes   uint
+	sortBits uint // word key bits the sort orders: all of them, or 0 unsorted
+	passes   uint // counting passes, 0 when the schedule keeps input order
 	digit    uint
 }
 
@@ -393,13 +404,11 @@ func (p *pipeline) plan(workers int) sortPlan {
 	keyBits := uint(bits.Len64(maxKey - minKey))
 	relBits := min(keyBits, 32)
 	pl := sortPlan{minKey: minKey, coarse: keyBits - relBits}
-	if p.sorted {
+	if p.sorted && relBits > 0 {
 		pl.sortBits = relBits
+		pl.passes = (pl.sortBits + maxSortDigitBits - 1) / maxSortDigitBits
+		pl.digit = (pl.sortBits + pl.passes - 1) / pl.passes
 	}
-	// Unsorted (or with one distinct key), a single digitless pass packs
-	// the words in input order.
-	pl.passes = max(1, (pl.sortBits+maxSortDigitBits-1)/maxSortDigitBits)
-	pl.digit = (pl.sortBits + pl.passes - 1) / pl.passes
 	return pl
 }
 
@@ -421,10 +430,6 @@ func (pl *sortPlan) word(key uint64, i int) uint64 {
 func (p *pipeline) histogram(w, workers int, pl *sortPlan, s *sortPass) {
 	lo, hi := chunk(p.n, w, workers)
 	h := p.hist[w<<maxSortDigitBits:][:1<<s.bits]
-	if s.bits == 0 {
-		h[0] = int32(hi - lo)
-		return
-	}
 	clear(h)
 	mask := uint64(len(h) - 1)
 	if s.src == nil {
@@ -512,24 +517,18 @@ func (p *pipeline) probeRuns(w *probeWorker, s *schedule, begin, end int) {
 			if si < len(p.boundKeys) {
 				hiKey = min(hiKey, p.boundKeys[si]-1)
 			}
-			// The scan checks both ends of the range: an unsorted
-			// schedule is in input order.
+			// The scan checks both ends of the range, as one unsigned
+			// compare: an unsorted schedule is in input order.
 			if s.coarse == 0 {
 				// Compare word keys directly: rel = key-minKey, and
 				// every key of the batch is at least minKey.
 				loRel := max(loKey, s.minKey) - s.minKey
-				hiRel := min(hiKey, s.minKey+1<<32-1) - s.minKey
-				for runEnd < end {
-					if r := sched[runEnd] >> 32; r < loRel || r > hiRel {
-						break
-					}
+				span := min(hiKey, s.minKey+1<<32-1) - s.minKey - loRel
+				for runEnd < end && sched[runEnd]>>32-loRel <= span {
 					runEnd++
 				}
 			} else {
-				for runEnd < end {
-					if k2 := p.keys[uint32(sched[runEnd])]; k2 < loKey || k2 > hiKey {
-						break
-					}
+				for runEnd < end && p.keys[uint32(sched[runEnd])]-loKey <= hiKey-loKey {
 					runEnd++
 				}
 			}
@@ -544,8 +543,9 @@ func (p *pipeline) probeRuns(w *probeWorker, s *schedule, begin, end int) {
 			continue
 		}
 		w.scratch = sh.Table.AppendRefs(w.scratch[:0], entry)
+		rs := w.scratch
 		nCand := 0
-		for _, r := range w.scratch {
+		for _, r := range rs {
 			if !r.Interior() {
 				nCand++
 			}
@@ -556,7 +556,7 @@ func (p *pipeline) probeRuns(w *probeWorker, s *schedule, begin, end int) {
 				i := int(uint32(sched[kk]))
 				arenaStart := len(w.ids)
 				hadMatch := false
-				for _, r := range w.scratch {
+				for _, r := range rs {
 					pid := r.PolygonID()
 					if !r.Interior() {
 						pipTests++
@@ -581,19 +581,19 @@ func (p *pipeline) probeRuns(w *probeWorker, s *schedule, begin, end int) {
 			continue
 		}
 		// The outcome is identical for every point of the run.
-		for _, r := range w.scratch {
+		for _, r := range rs {
 			w.counts[r.PolygonID()] += runLen
 		}
-		if len(w.scratch) > 0 {
+		if len(rs) > 0 {
 			matched += runLen
 		}
 		if nCand == 0 {
 			sth += runLen
 		}
-		if p.collect && len(w.scratch) > 0 {
+		if p.collect && len(rs) > 0 {
 			for kk := k; kk < runEnd; kk++ {
 				arenaStart := len(w.ids)
-				for _, r := range w.scratch {
+				for _, r := range rs {
 					w.ids = append(w.ids, r.PolygonID())
 				}
 				p.out[uint32(sched[kk])] = w.ids[arenaStart:len(w.ids):len(w.ids)]

@@ -178,7 +178,7 @@ func TestJoinCountAllocsConstant(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Errorf("allocations grow with the batch: %v at 2^12 points, %v at 2^16", allocs[0], allocs[1])
 	}
-	if allocs[1] > 12 {
-		t.Errorf("%v allocations per JoinCount, want at most 12", allocs[1])
+	if allocs[1] > 4 {
+		t.Errorf("%v allocations per JoinCount, want at most 4", allocs[1])
 	}
 }

@@ -72,7 +72,7 @@ func (six *ShardedIndex) Current() *ShardedSnapshot {
 func newShardedSnapshot(snaps []*Snapshot, router shardRouter, gen uint64) *ShardedSnapshot {
 	probe := make([]join.Shard, len(snaps))
 	for i, sh := range snaps {
-		probe[i] = sh.probeShard()[0]
+		probe[i] = sh.probeShard()
 	}
 	return &ShardedSnapshot{shards: snaps, probe: probe, router: router, gen: gen}
 }

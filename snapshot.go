@@ -128,7 +128,7 @@ func (s *Snapshot) queryLeaf(gp geom.Point, leaf cellid.CellID, exact bool) []Po
 // probe pipeline — optionally cell-id-sorted, run-shared, and parallelized
 // over opt.Threads workers.
 func (s *Snapshot) CoversBatch(points []Point, opt QueryOptions) [][]PolygonID {
-	sh := s.probeShard()
+	sh := [1]join.Shard{s.probeShard()}
 	out, _ := join.CollectPoints(sh[:], nil, len(s.polys), geomPoints(points), opt.internal())
 	return out
 }
@@ -138,13 +138,13 @@ func (s *Snapshot) CoversBatch(points []Point, opt QueryOptions) [][]PolygonID {
 // QueryOptions (exactness, sorted probing, threads). The returned CacheHits
 // reports how many probes shared a run's trie walk.
 func (s *Snapshot) JoinCount(points []Point, opt QueryOptions) JoinResult {
-	sh := s.probeShard()
+	sh := [1]join.Shard{s.probeShard()}
 	return toJoinResult(join.CountPoints(sh[:], nil, len(s.polys), geomPoints(points), opt.internal()))
 }
 
-// probeShard is the snapshot as the batch pipeline's one shard.
-func (s *Snapshot) probeShard() [1]join.Shard {
-	return [1]join.Shard{{Index: s.tree, Table: s.table, Polys: s.polys}}
+// probeShard is the snapshot as a shard of the batch pipeline.
+func (s *Snapshot) probeShard() join.Shard {
+	return join.Shard{Index: s.tree, Table: s.table, Polys: s.polys}
 }
 
 // Join counts points per polygon — the paper's evaluation workload.
