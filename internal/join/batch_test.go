@@ -142,10 +142,10 @@ func TestBatchEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// sortedSchedule runs the pipeline's convert and schedule stages over
-// cells against idx on the given number of workers and returns the
-// pipeline with the schedule.
-func sortedSchedule(t *testing.T, idx cellindex.Index, cells []cellid.CellID, workers int, sorted bool) (*pipeline, schedule) {
+// buildSchedule runs the pipeline's convert and schedule stages over cells
+// against idx on the given number of workers and returns the pipeline with
+// the schedule.
+func buildSchedule(t *testing.T, idx cellindex.Index, cells []cellid.CellID, workers int, sorted bool) (*pipeline, schedule) {
 	t.Helper()
 	p := new(pipeline)
 	sh := []Shard{{Index: idx}}
@@ -175,7 +175,7 @@ func TestSchedule(t *testing.T) {
 		for _, idx := range []cellindex.Index{f.actT, f.gbt} {
 			for _, cells := range [][]cellid.CellID{f.cells, wide} {
 				for _, sorted := range []bool{false, true} {
-					p, s := sortedSchedule(t, idx, cells, workers, sorted)
+					p, s := buildSchedule(t, idx, cells, workers, sorted)
 					keys := make([]uint64, len(cells))
 					for i, c := range cells {
 						keys[i] = uint64(c) >> p.drop
@@ -208,13 +208,13 @@ func TestSchedule(t *testing.T) {
 	}
 	// An index without a level keeps the whole leaf id; a world-wide batch
 	// needs more than the word's 32 key bits.
-	if p, _ := sortedSchedule(t, f.gbt, f.cells, 1, true); p.drop != 1 {
+	if p, _ := buildSchedule(t, f.gbt, f.cells, 1, true); p.drop != 1 {
 		t.Errorf("levelless index: drop %d, want 1", p.drop)
 	}
-	if _, s := sortedSchedule(t, f.actT, wide, 1, true); s.coarse == 0 {
+	if _, s := buildSchedule(t, f.actT, wide, 1, true); s.coarse == 0 {
 		t.Error("world-wide batch packed exact word keys")
 	}
-	if p, s := sortedSchedule(t, f.actT, f.cells, 1, true); p.level != f.actT.MaxCellLevel() || s.coarse != 0 {
+	if p, s := buildSchedule(t, f.actT, f.cells, 1, true); p.level != f.actT.MaxCellLevel() || s.coarse != 0 {
 		t.Errorf("level %d, coarse %d: want the index's level %d and exact word keys", p.level, s.coarse, f.actT.MaxCellLevel())
 	}
 }

@@ -30,11 +30,11 @@ import (
 // Super-covering cells are disjoint, so every probe point has exactly one
 // owning shard: the batch pipeline routes each run of probes to it (see
 // internal/join), and training radix-splits its stream into per-shard
-// sub-streams (join.PartitionByShard). A covering cell that would span a shard boundary
-// is decomposed into its children until each piece lands in one shard —
-// query-equivalent to inserting the parent, since a containment test
-// against the parent and against the child holding the probe's leaf answer
-// identically.
+// sub-streams (join.PartitionByShard). A covering cell that would span a
+// shard boundary is decomposed into its children until each piece lands in
+// one shard — query-equivalent to inserting the parent, since a containment
+// test against the parent and against the child holding the probe's leaf
+// answer identically.
 //
 // Concurrency contract (three lock classes, always in this order):
 //
