@@ -23,8 +23,9 @@
 //     worker each, whatever the shard count; workers accumulate into
 //     private counters, merged once at the end.
 //
-// The workers start once per batch and meet at a spinning barrier between
-// stages, so a stage boundary costs no goroutine wake-up. All scratch memory
+// The workers start once per batch and meet at a barrier between stages,
+// where they spin briefly before parking, so a stage boundary rarely costs
+// a goroutine wake-up. All scratch memory
 // comes from a pool, so a steady stream of batches allocates only the
 // results it returns and the closures that start the extra workers.
 package join
@@ -143,6 +144,8 @@ type pipeline struct {
 	workers []*probeWorker
 	next    atomic.Int64 //act:atomic conversion block cursor
 	arrived atomic.Int64 //act:atomic barrier arrivals this batch
+	parkMu  sync.Mutex   //act:lock batchpark
+	park    sync.Cond    // workers parked at a barrier; L is &parkMu
 	wg      sync.WaitGroup
 }
 
@@ -255,6 +258,7 @@ func (p *pipeline) init(shards []Shard, bounds []cellid.CellID, pts []geom.Point
 	p.offs = grow(p.offs, threads<<maxSortDigitBits)
 	p.next.Store(0)
 	p.arrived.Store(0)
+	p.park.L = &p.parkMu
 	for len(p.workers) < threads {
 		p.workers = append(p.workers, new(probeWorker))
 	}
@@ -337,19 +341,41 @@ func (p *pipeline) stages(w, workers int) schedule {
 	return schedule{words: src[:p.n], minKey: pl.minKey, coarse: pl.coarse}
 }
 
+// barrierSpins bounds how long a worker spins at a barrier, yielding its P
+// on every turn, before it parks. Stages are short and balanced, so a
+// spinning worker usually sees the last arrival within a few microseconds,
+// where parking would cost a wake-up longer than most stages; parking
+// after the budget keeps spinners from starving the workers they wait for
+// when there are more workers than CPUs.
+const barrierSpins = 256
+
 // barrier returns once all workers of the batch have called it as often
-// as this one. Stages are short and balanced, so waiting workers spin,
-// yielding their P on every turn: a blocking wait would cost a wake-up per
-// stage, which is longer than most stages.
+// as this one.
 func (p *pipeline) barrier(workers int) {
 	if workers == 1 {
 		return
 	}
 	n := int64(workers)
-	target := (p.arrived.Add(1) + n - 1) / n * n
-	for p.arrived.Load() < target {
+	arrived := p.arrived.Add(1)
+	target := (arrived + n - 1) / n * n
+	if arrived == target {
+		// Last to arrive: wake the workers that parked.
+		p.parkMu.Lock()
+		p.park.Broadcast()
+		p.parkMu.Unlock()
+		return
+	}
+	for i := 0; i < barrierSpins; i++ {
+		if p.arrived.Load() >= target {
+			return
+		}
 		runtime.Gosched()
 	}
+	p.parkMu.Lock()
+	for p.arrived.Load() < target {
+		p.park.Wait()
+	}
+	p.parkMu.Unlock()
 }
 
 // chunk returns worker w's share [lo, hi) of n items split evenly.

@@ -3,7 +3,9 @@ package join
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/cellindex"
@@ -237,4 +239,35 @@ func TestBatchWideKeyRange(t *testing.T) {
 			t.Errorf("%+v: wide batch diverges from Run", opt)
 		}
 	}
+}
+
+// TestBarrier holds the stage barrier to its contract over several rounds,
+// each with a straggler that arrives long after the others have used up
+// their spin budget and parked: no worker leaves a round before every
+// worker has reached it.
+func TestBarrier(t *testing.T) {
+	const workers, rounds = 3, 6
+	p := new(pipeline)
+	p.park.L = &p.parkMu
+	var reached [workers]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := int32(1); r <= rounds; r++ {
+				if int(r)%workers == w {
+					time.Sleep(2 * time.Millisecond)
+				}
+				reached[w].Store(r)
+				p.barrier(workers)
+				for v := range reached {
+					if got := reached[v].Load(); got < r {
+						t.Errorf("worker %d left round %d while worker %d was at round %d", w, r, v, got)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
