@@ -60,7 +60,7 @@ func TestCoversExact(t *testing.T) {
 		{Point{-73.90, 40.60}, nil},   // outside everything
 	}
 	for _, c := range cases {
-		got := idx.Covers(c.p)
+		got := idx.Current().Covers(c.p)
 		if len(got) != len(c.want) {
 			t.Errorf("Covers(%v) = %v, want %v", c.p, got, c.want)
 			continue
@@ -81,7 +81,7 @@ func TestPrecisionBoundMode(t *testing.T) {
 	if idx.Precision() != 15 {
 		t.Errorf("Precision = %v", idx.Precision())
 	}
-	st := idx.Stats()
+	st := idx.Current().Stats()
 	if st.PrecisionLevel == 0 {
 		t.Error("precision level must be set")
 	}
@@ -90,8 +90,8 @@ func TestPrecisionBoundMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		p := Point{-74.01 + rng.Float64()*0.09, 40.69 + rng.Float64()*0.11}
-		exact := idx.Covers(p)
-		approx := idx.CoversApprox(p)
+		exact := idx.Current().Covers(p)
+		approx := idx.Current().CoversApprox(p)
 		// approx is a superset of exact.
 		seen := map[PolygonID]bool{}
 		for _, id := range approx {
@@ -111,10 +111,10 @@ func TestGranularities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := idx.Stats().Granularity; got != delta {
+		if got := idx.Current().Stats().Granularity; got != delta {
 			t.Errorf("Granularity = %d, want %d", got, delta)
 		}
-		if got := idx.Covers(Point{-73.985, 40.715}); len(got) != 1 || got[0] != 0 {
+		if got := idx.Current().Covers(Point{-73.985, 40.715}); len(got) != 1 || got[0] != 0 {
 			t.Errorf("delta %d: Covers = %v", delta, got)
 		}
 	}
@@ -130,8 +130,8 @@ func TestJoinCounts(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		pts = append(pts, Point{-74.01 + rng.Float64()*0.09, 40.69 + rng.Float64()*0.11})
 	}
-	exact := idx.Join(pts, true, 1)
-	multi := idx.Join(pts, true, 4)
+	exact := idx.Current().JoinCount(pts, QueryOptions{Exact: true, Threads: 1})
+	multi := idx.Current().JoinCount(pts, QueryOptions{Exact: true, Threads: 4})
 	for i := range exact.Counts {
 		if exact.Counts[i] != multi.Counts[i] {
 			t.Errorf("thread mismatch for polygon %d", i)
@@ -140,7 +140,7 @@ func TestJoinCounts(t *testing.T) {
 	// Oracle.
 	want := make([]int64, 3)
 	for _, p := range pts {
-		for _, id := range idx.Covers(p) {
+		for _, id := range idx.Current().Covers(p) {
 			want[id]++
 		}
 	}
@@ -171,14 +171,14 @@ func TestTrainReducesPIPTests(t *testing.T) {
 		probe = append(probe, Point{-73.97 + (rng.Float64()-0.5)*0.002, 40.70 + rng.Float64()*0.03})
 	}
 	plain := mk()
-	before := plain.Join(probe, true, 1)
+	before := plain.Current().JoinCount(probe, QueryOptions{Exact: true, Threads: 1})
 
 	trained := mk()
 	st := trained.Train(train, 0)
 	if st.CellsSplit == 0 {
 		t.Fatal("training must split boundary cells")
 	}
-	after := trained.Join(probe, true, 1)
+	after := trained.Current().JoinCount(probe, QueryOptions{Exact: true, Threads: 1})
 	if after.PIPTests >= before.PIPTests {
 		t.Errorf("training must reduce PIP tests: %d -> %d", before.PIPTests, after.PIPTests)
 	}
@@ -195,7 +195,7 @@ func TestTrainBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := idx.Stats().NumCells + 8
+	budget := idx.Current().Stats().NumCells + 8
 	rng := rand.New(rand.NewSource(4))
 	var train []Point
 	for i := 0; i < 5000; i++ {
@@ -215,7 +215,7 @@ func TestStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := idx.Stats()
+	st := idx.Current().Stats()
 	if st.NumPolygons != 3 || st.NumCells == 0 || st.NumTrieNodes == 0 || st.TrieSizeBytes == 0 {
 		t.Errorf("stats not populated: %+v", st)
 	}
@@ -230,9 +230,9 @@ func TestCoveringBudgetOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Stats().NumCells >= large.Stats().NumCells {
+	if small.Current().Stats().NumCells >= large.Current().Stats().NumCells {
 		t.Errorf("larger budget must yield more cells: %d vs %d",
-			small.Stats().NumCells, large.Stats().NumCells)
+			small.Current().Stats().NumCells, large.Current().Stats().NumCells)
 	}
 }
 
@@ -265,23 +265,23 @@ func TestCoversBatchMatchesPerPointLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			pts := batchTestPoints(20000, 7)
-			for _, opt := range []BatchOptions{
+			for _, opt := range []QueryOptions{
 				{},
 				{Sorted: true},
 				{Exact: true, Sorted: true},
 				{Exact: true, Threads: 1},
 				{Sorted: true, Threads: 3},
 			} {
-				got := idx.CoversBatch(pts, opt)
+				got := idx.Current().CoversBatch(pts, opt)
 				if len(got) != len(pts) {
 					t.Fatalf("%+v: %d results for %d points", opt, len(got), len(pts))
 				}
 				for i, p := range pts {
 					var want []PolygonID
 					if opt.Exact {
-						want = idx.Covers(p)
+						want = idx.Current().Covers(p)
 					} else {
-						want = idx.CoversApprox(p)
+						want = idx.Current().CoversApprox(p)
 					}
 					if len(got[i]) != len(want) {
 						t.Fatalf("%+v: point %d: got %v, want %v", opt, i, got[i], want)
@@ -304,13 +304,13 @@ func TestJoinCountMatchesJoin(t *testing.T) {
 	}
 	pts := batchTestPoints(20000, 8)
 	for _, exact := range []bool{false, true} {
-		want := idx.Join(pts, exact, 1)
-		for _, opt := range []BatchOptions{
+		want := idx.Current().JoinCount(pts, QueryOptions{Exact: exact, Threads: 1})
+		for _, opt := range []QueryOptions{
 			{Exact: exact},
 			{Exact: exact, Sorted: true},
 			{Exact: exact, Sorted: true, Threads: 4},
 		} {
-			got := idx.JoinCount(pts, opt)
+			got := idx.Current().JoinCount(pts, opt)
 			for i := range want.Counts {
 				if got.Counts[i] != want.Counts[i] {
 					t.Errorf("exact=%v %+v: polygon %d count %d, want %d",
@@ -332,10 +332,10 @@ func TestCoversBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := idx.CoversBatch(nil, BatchOptions{Sorted: true}); len(out) != 0 {
+	if out := idx.Current().CoversBatch(nil, QueryOptions{Sorted: true}); len(out) != 0 {
 		t.Errorf("empty batch returned %d results", len(out))
 	}
-	res := idx.JoinCount(nil, BatchOptions{})
+	res := idx.Current().JoinCount(nil, QueryOptions{})
 	if len(res.Counts) != len(testPolygons()) {
 		t.Errorf("empty join counts sized %d", len(res.Counts))
 	}

@@ -21,14 +21,8 @@ import (
 // compaction cycles the run crossed.
 func benchPublishTail(b *testing.B, background bool) {
 	f := snapshotBenchFixture(b)
-	f.idx.mu.Lock()
-	f.idx.opt.noBgCompact = !background
-	f.idx.mu.Unlock()
-	defer func() {
-		f.idx.mu.Lock()
-		f.idx.opt.noBgCompact = false
-		f.idx.mu.Unlock()
-	}()
+	withShards(f.idx, func(sh *shard) { sh.inlineCompaction = !background })
+	defer withShards(f.idx, func(sh *shard) { sh.inlineCompaction = false })
 	before := f.idx.PublishStats()
 	durs := make([]time.Duration, 0, 2*b.N)
 	b.ResetTimer()
@@ -68,7 +62,7 @@ func benchPublishTail(b *testing.B, background bool) {
 func BenchmarkPublishTailLatency(b *testing.B) { benchPublishTail(b, true) }
 
 // BenchmarkPublishTailLatencyInlineCompaction is the pre-compactor
-// behaviour (WithBackgroundCompaction(false)): every threshold crossing
+// behaviour (the inlineCompaction hook): every threshold crossing
 // rebuilds inline, stalling that publish for the full rebuild. It flips the
 // fixture's compaction mode for its duration (benchmarks in this file run
 // sequentially).

@@ -101,18 +101,20 @@ func driveMutations(t *testing.T, ix *Index, seed int64, steps int) [][]byte {
 
 // TestDirectoryRemovalDifferential drives the same long random
 // Add/Remove/Train/Apply/abort sequence through a default index (directory
-// removal) and a WithWalkRemoval index (the pre-directory full walk) and
+// removal) and an index with the walkRemoval hook set (the pre-directory
+// full walk) and
 // requires every published snapshot to be byte-identical between the two —
 // the directory changes how a polygon's cells are located, never what gets
 // published.
 func TestDirectoryRemovalDifferential(t *testing.T) {
 	configs := []struct {
-		name string
-		opts []Option
+		name        string
+		opts        []Option
+		fullPublish bool
 	}{
-		{"exact", []Option{WithCoveringBudget(8, 16)}},
-		{"precision", []Option{WithCoveringBudget(8, 16), WithPrecision(2000)}},
-		{"full-publish", []Option{WithCoveringBudget(8, 16), WithIncrementalPublish(false)}},
+		{"exact", []Option{WithCoveringBudget(8, 16)}, false},
+		{"precision", []Option{WithCoveringBudget(8, 16), WithPrecision(2000)}, false},
+		{"full-publish", []Option{WithCoveringBudget(8, 16)}, true},
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
@@ -123,15 +125,19 @@ func TestDirectoryRemovalDifferential(t *testing.T) {
 			for i := range polys {
 				polys[i] = randSquare(rng)
 			}
-			build := func(extra ...Option) *Index {
-				ix, err := NewIndex(polys, append(append([]Option(nil), cfg.opts...), extra...)...)
+			build := func(walkRemoval bool) *Index {
+				ix, err := NewIndex(polys, cfg.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
+				withShards(ix, func(sh *shard) {
+					sh.fullPublish = cfg.fullPublish
+					sh.walkRemoval = walkRemoval
+				})
 				return ix
 			}
-			dir := build()
-			walk := build(WithWalkRemoval(true))
+			dir := build(false)
+			walk := build(true)
 
 			dirPub := driveMutations(t, dir, seed*7, 60)
 			walkPub := driveMutations(t, walk, seed*7, 60)
@@ -210,9 +216,10 @@ func TestSerializeRoundTripDirectory(t *testing.T) {
 	}
 	validateWriterDirectory(t, loaded, "loaded directory")
 
-	loaded.mu.Lock()
-	ref := loaded.sc.ReferencedPolygons()
-	loaded.mu.Unlock()
+	sh := soleShard(loaded)
+	sh.mu.Lock()
+	ref := sh.sc.ReferencedPolygons()
+	sh.mu.Unlock()
 	for _, id := range []PolygonID{2, 9} {
 		if ref[id] {
 			t.Fatalf("tombstoned polygon %d still referenced after reload", id)

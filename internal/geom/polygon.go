@@ -54,8 +54,15 @@ func (r Ring) containsPoint(p Point) bool {
 
 // Polygon is a polygon with optional holes. Rings[0] is the outer boundary;
 // any further rings are holes. Point containment follows the even-odd rule
-// over all rings, which matches the ST_Covers semantics the paper adopts for
-// well-formed inputs (holes strictly inside the shell, no self-intersection).
+// over all rings with the half-open edge rule of Segment.CrossesVertical:
+// interior points are inside and exterior points outside, and a boundary
+// point counts as inside exactly when the polygon holds the points
+// infinitesimally to its right (on a horizontal edge: infinitesimally
+// above it). Unlike ST_Covers, which includes the whole boundary, this
+// assigns every point of a boundary shared by several polygons of a
+// tessellation to exactly one of them, so a join counts each point once;
+// points on the top or right side of the tessellation's outer boundary
+// belong to none.
 type Polygon struct {
 	Rings []Ring
 

@@ -101,9 +101,9 @@ var registry = []Experiment{
 	{"fig11", "Figure 11: comparison with the (simulated) GPU raster joins", (*Env).Fig11},
 	{"batch", "Batch engine: per-point vs batch probing, sorted vs unsorted", (*Env).Batch},
 	{"snapshot", "Snapshot API: publish latency and join throughput under a live writer", (*Env).Snapshot},
-	{"publish", "Publish paths: incremental snapshot patching vs full rebuild, by covering size", (*Env).Publish},
-	{"remove", "Removal paths: per-polygon cell directory vs full-quadtree walk, by covering size", (*Env).Remove},
-	{"compact", "Compaction paths: publish tail latency, background compactor vs inline rebuild", (*Env).Compact},
+	{"publish", "Publish path: incremental snapshot patching latency, by covering size", (*Env).Publish},
+	{"remove", "Removal path: per-polygon cell directory latency, by covering size", (*Env).Remove},
+	{"compact", "Compaction path: publish tail latency across background compactions", (*Env).Compact},
 	{"shard", "Sharded engine: composed join throughput and cross-shard parallel publish rate, by shard count", (*Env).Shard},
 }
 

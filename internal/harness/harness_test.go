@@ -109,9 +109,9 @@ func TestExperimentsRunTiny(t *testing.T) {
 		"fig10":     {"SI1", "SI10", "RT", "PG"},
 		"fig11":     {"GPU", "passes", "exact"},
 		"batch":     {"per-point", "batch sorted", "taxi", "uniform", "cache-hit%"},
-		"publish":   {"full ms/publish", "incremental ms/publish", "speedup"},
-		"remove":    {"footprint", "walk ms/remove", "directory ms/remove", "speedup"},
-		"compact":   {"inline", "background", "cycles", "worst ms/publish"},
+		"publish":   {"ms/publish", "patched%", "4m"},
+		"remove":    {"footprint", "ms/remove", "4m"},
+		"compact":   {"compactions", "mean ms/publish", "worst ms/publish"},
 	}
 	for _, exp := range All() {
 		exp := exp

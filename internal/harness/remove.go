@@ -9,52 +9,41 @@ import (
 	"actjoin/internal/geom"
 )
 
-// Remove compares the two polygon-removal strategies of the public API —
-// the per-polygon cell directory (the default) against the pre-directory
-// full-quadtree walk (WithWalkRemoval) — across covering sizes, by building
-// the neighborhoods index at several precision bounds. The walk's cost grows
-// with the covering (it visits every node to find the polygon's cells); the
-// directory's cost tracks the removed polygon's footprint, which the churn
-// polygon keeps roughly constant across precisions — so the gap, like the
-// incremental-publish gap it composes with, widens with index size.
+// Remove measures the per-Remove latency of the removal path the engine
+// ships — the per-polygon cell directory, which locates a polygon's cells
+// without walking the covering — across covering sizes, by building the
+// neighborhoods index at several precision bounds. The latency tracks the
+// removed polygon's footprint, which the churn polygon keeps roughly
+// constant across precisions, not the covering size. The full-quadtree walk
+// the directory replaced is recorded in BENCH_remove.json and timed by the
+// root BenchmarkSnapshotRemovePublishWalk.
 //
 // Not a figure of the paper: removal is sketched in Section 3.1.2 as
 // following "the same logic" as insertion; this quantifies what locating a
-// polygon's cells costs with and without the reverse mapping.
+// polygon's cells costs with the reverse mapping.
 func (e *Env) Remove(w io.Writer) error {
 	const ds = "neighborhoods"
 	polys := toPublicPolygons(e.Polygons(ds))
 	bound := e.Bound(ds)
 
 	t := newTable(w)
-	t.row("precision", "cells", "footprint", "walk ms/remove", "directory ms/remove", "speedup")
-	t.rule(6)
+	t.row("precision", "cells", "footprint", "ms/remove")
+	t.rule(4)
 	for _, meters := range []float64{64, 16, 4} {
-		var cells, footprint int
-		var lat [2]time.Duration // [walk, directory]
-		for mode := 0; mode < 2; mode++ {
-			opts := []actjoin.Option{actjoin.WithPrecision(meters)}
-			if mode == 0 {
-				opts = append(opts, actjoin.WithWalkRemoval(true))
-			}
-			idx, err := actjoin.NewIndex(polys, opts...)
-			if err != nil {
-				return err
-			}
-			cells = idx.Current().Stats().NumCells
-			lat[mode], footprint, err = removeLatency(idx, bound)
-			if err != nil {
-				return err
-			}
+		idx, err := actjoin.NewIndex(polys, actjoin.WithPrecision(meters))
+		if err != nil {
+			return err
 		}
-		speedup := float64(lat[0]) / float64(lat[1])
+		cells := idx.Current().Stats().NumCells
+		lat, footprint, err := removeLatency(idx, bound)
+		if err != nil {
+			return err
+		}
 		t.row(
 			fmt.Sprintf("%gm", meters),
 			fmt.Sprintf("%d", cells),
 			fmt.Sprintf("%d", footprint),
-			fmt.Sprintf("%.2f", lat[0].Seconds()*1e3),
-			fmt.Sprintf("%.2f", lat[1].Seconds()*1e3),
-			fmtSpeedup(speedup),
+			fmt.Sprintf("%.2f", lat.Seconds()*1e3),
 		)
 	}
 	return t.flush()
@@ -63,8 +52,8 @@ func (e *Env) Remove(w io.Writer) error {
 // removeLatency measures the per-Remove latency (locating the polygon's
 // cells, editing them, publishing the snapshot) of an Add/Remove churn with
 // only the Remove halves timed, fastest of measureRepeats passes. It also
-// reports the largest churn-polygon footprint seen, the directory path's
-// cost driver.
+// reports the largest churn-polygon footprint seen, the removal's cost
+// driver.
 func removeLatency(idx *actjoin.Index, bound geom.Rect) (time.Duration, int, error) {
 	const churn = 4
 	best := time.Duration(0)

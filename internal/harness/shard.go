@@ -11,7 +11,7 @@ import (
 )
 
 // Shard sweeps the sharded engine against the single-shard baseline: for
-// each shard count it builds a ShardedIndex over the neighborhoods mesh and
+// each shard count it builds an index over the neighborhoods mesh and
 // measures composed batch-join throughput (single- and all-threads) plus the
 // aggregate publish rate with one churn writer per shard, each targeting its
 // own shard's key range. Every shard count runs the same batch pipeline
@@ -19,7 +19,7 @@ import (
 // join columns should not depend on the shard count; the publish column
 // shows cross-shard write scaling — single-shard commits on different
 // shards share the commit lock in read mode, so on a multi-core host they
-// publish concurrently where the unsharded index serializes on one mutex.
+// publish concurrently where a one-shard index serializes on one mutex.
 //
 // Not a figure of the paper: the paper's index is single-writer and static;
 // this quantifies the sharded extension.

@@ -226,14 +226,6 @@ func (sc *SuperCovering) Footprint(id uint32) int {
 	return 0
 }
 
-// SetWalkRemoval selects RemovePolygon's implementation: false (the default)
-// descends only the cells recorded in the per-polygon directory; true forces
-// the pre-directory full-quadtree walk. The walk exists for benchmarking the
-// two paths against each other and as the reference implementation the
-// differential tests compare against; results and dirty marks are identical
-// either way, and the directory stays maintained in both modes.
-func (sc *SuperCovering) SetWalkRemoval(walk bool) { sc.walkRemoval = walk }
-
 // ValidateDirectory recomputes the polygon→cells mapping from the quadtree
 // and compares it against the maintained directory, returning an error on
 // the first divergence — including any violation of the sorted-plus-staged

@@ -65,9 +65,8 @@ func TestDirectoryRemovalMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 10; round++ {
 		fast, walk := New(), New()
-		walk.SetWalkRemoval(true)
 		seed := rng.Int63()
-		drive := func(sc *SuperCovering) [][]cellid.CellID {
+		drive := func(sc *SuperCovering, remove func(id uint32) int) [][]cellid.CellID {
 			r := rand.New(rand.NewSource(seed))
 			var dirt [][]cellid.CellID
 			for i := 0; i < 120; i++ {
@@ -77,7 +76,7 @@ func TestDirectoryRemovalMatchesWalk(t *testing.T) {
 			for batch := 0; batch < 12; batch++ {
 				for op, nops := 0, 1+r.Intn(4); op < nops; op++ {
 					if r.Intn(2) == 0 {
-						sc.RemovePolygon(uint32(r.Intn(20)))
+						remove(uint32(r.Intn(20)))
 					} else {
 						sc.Insert(randomCell(r, 9), randomRefs(r))
 					}
@@ -90,8 +89,8 @@ func TestDirectoryRemovalMatchesWalk(t *testing.T) {
 			}
 			return dirt
 		}
-		fastDirt := drive(fast)
-		walkDirt := drive(walk)
+		fastDirt := drive(fast, fast.RemovePolygon)
+		walkDirt := drive(walk, walk.RemovePolygonWalk)
 
 		validate(t, fast, "directory covering")
 		validate(t, walk, "walk covering")

@@ -16,14 +16,10 @@ import "actjoin/internal/cellid"
 // polygon, so the removal descends only to those cells: the cost is
 // O(footprint · depth), independent of the covering size. Each edited cell
 // is recorded as its own dirty region, so the cost of the next incremental
-// freeze is proportional to the polygon's footprint too. SetWalkRemoval
-// forces the pre-directory full-quadtree walk instead (benchmarking and
-// differential testing); the two implementations produce identical trees and
-// identical dirty marks.
+// freeze is proportional to the polygon's footprint too. RemovePolygonWalk
+// is the pre-directory full-quadtree walk; the two implementations produce
+// identical trees and identical dirty marks.
 func (sc *SuperCovering) RemovePolygon(id uint32) int {
-	if sc.walkRemoval {
-		return sc.removePolygonWalk(id)
-	}
 	// Detach the polygon's sorted cell slice and walk it directly: the
 	// directory keeps it sorted, so the footprint snapshot costs no
 	// allocation and no sort, and the sorted descent keeps the node accesses
@@ -79,12 +75,13 @@ func (sc *SuperCovering) removeRefAt(c cellid.CellID, p uint32) {
 	sc.pruneEmptyAt(c)
 }
 
-// removePolygonWalk is the pre-directory RemovePolygon: a full walk of all
+// RemovePolygonWalk is the pre-directory RemovePolygon: a full walk of all
 // six face trees, filtering every reference list. O(index) instead of
 // O(footprint); kept as the reference implementation the differential tests
-// compare against and for benchmarking via SetWalkRemoval. It maintains the
-// directory just like the fast path, so the two modes are interchangeable.
-func (sc *SuperCovering) removePolygonWalk(id uint32) int {
+// compare against and the baseline the removal benchmarks time. It
+// maintains the directory just like RemovePolygon, so the two are
+// interchangeable on one covering.
+func (sc *SuperCovering) RemovePolygonWalk(id uint32) int {
 	touched := 0
 	for f := range sc.roots {
 		if sc.roots[f] == nil {

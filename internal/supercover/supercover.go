@@ -81,10 +81,8 @@ type SuperCovering struct {
 
 	// dir is the per-polygon footprint directory (see directory.go): the
 	// reverse polygon→cells mapping every mutation maintains, making
-	// RemovePolygon and ReferencedPolygons O(footprint). walkRemoval forces
-	// the pre-directory full-tree removal walk (see SetWalkRemoval).
-	dir         directory
-	walkRemoval bool
+	// RemovePolygon and ReferencedPolygons O(footprint).
+	dir directory
 }
 
 // New returns an empty super covering.

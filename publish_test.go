@@ -18,42 +18,99 @@ import (
 // indistinguishable from freezing the writer state from scratch, and an
 // aborted transaction must leave no trace whatsoever.
 
-// fullFreeze builds a snapshot of the writer's current state through the
+// freezeShard builds a snapshot of one shard's writer state through the
 // one-shot pipeline the pre-incremental publish used: full cell walk, full
 // encode, full trie build. It takes the writer mutex: the caller's own
 // goroutine must be between mutations, but a background compactor may be
 // landing its result concurrently (it is a writer too, and freezing the
 // covering normalizes node reference lists in place).
-func fullFreeze(ix *Index) *Snapshot {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cells := ix.sc.Cells()
+func freezeShard(sh *shard) *shardSnapshot {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cells := sh.sc.Cells()
 	kvs, table := cellindex.Encode(cells)
-	return &Snapshot{
-		polys:          ix.polys,
+	return &shardSnapshot{
+		polys:          sh.polys,
 		cells:          ropeFromCells(cells),
-		tree:           act.Build(kvs, ix.opt.delta),
+		tree:           act.Build(kvs, sh.opt.delta),
 		table:          table,
-		opt:            ix.opt,
-		precisionLevel: ix.precisionLevel,
+		opt:            sh.opt,
+		precisionLevel: sh.precisionLevel,
 	}
 }
 
-// writerCells freezes the writer-side covering under the mutex: a background
-// compactor landing its result counts as a writer, and freezing normalizes
-// node reference lists in place.
-func writerCells(ix *Index) []supercover.Cell {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.sc.Cells()
+// fullFreeze composes freezeShard over every shard of the index: the
+// reference every published snapshot must be indistinguishable from.
+func fullFreeze(ix *Index) *Snapshot {
+	snaps := make([]*shardSnapshot, len(ix.shards))
+	for i, sh := range ix.shards {
+		snaps[i] = freezeShard(sh)
+	}
+	return newSnapshot(snaps, ix.router, 0)
 }
 
-// validateWriterDirectory runs ValidateDirectory under the writer mutex.
+// shardView wraps one shard's snapshot as a Snapshot, so per-shard
+// comparisons can use the public read surface.
+func shardView(s *shardSnapshot) *Snapshot {
+	return newSnapshot([]*shardSnapshot{s}, shardRouter{}, 0)
+}
+
+// frozenCells materializes the snapshot's cells in global cell-id order.
+func (s *Snapshot) frozenCells() []supercover.Cell {
+	var out []supercover.Cell
+	for _, sh := range s.shards {
+		out = sh.cells.appendAll(out)
+	}
+	return out
+}
+
+// soleShard returns the only shard of a one-shard index: the handle the
+// white-box tests reach the publish machinery through.
+func soleShard(ix *Index) *shard {
+	if len(ix.shards) != 1 {
+		panic(fmt.Sprintf("soleShard: index has %d shards", len(ix.shards)))
+	}
+	return ix.shards[0]
+}
+
+// withShards runs set on every shard of the index under the shard's writer
+// mutex — how tests switch the reference-path hooks (fullPublish,
+// inlineCompaction, walkRemoval) and the failure-injection hooks.
+func withShards(ix *Index, set func(sh *shard)) {
+	for _, sh := range ix.shards {
+		sh.mu.Lock()
+		set(sh)
+		sh.mu.Unlock()
+	}
+}
+
+// publishCounters reports how many publishes took the incremental patch
+// path vs the full-rebuild path, summed over the shards.
+func publishCounters(ix *Index) (patched, full int) {
+	st := ix.PublishStats()
+	return st.Patched, st.Full
+}
+
+// writerCells freezes the writer-side coverings under the shards' mutexes
+// (a background compactor landing its result counts as a writer, and
+// freezing normalizes node reference lists in place), in global cell-id
+// order.
+func writerCells(ix *Index) []supercover.Cell {
+	var out []supercover.Cell
+	withShards(ix, func(sh *shard) { out = append(out, sh.sc.Cells()...) })
+	return out
+}
+
+// validateWriterDirectory runs ValidateDirectory under each shard's writer
+// mutex.
 func validateWriterDirectory(t *testing.T, ix *Index, ctx string) {
 	t.Helper()
-	ix.mu.Lock()
-	err := ix.sc.ValidateDirectory()
-	ix.mu.Unlock()
+	var err error
+	withShards(ix, func(sh *shard) {
+		if err == nil {
+			err = sh.sc.ValidateDirectory()
+		}
+	})
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -239,7 +296,7 @@ func TestIncrementalPublishDifferential(t *testing.T) {
 				assertSnapshotsEqual(t, fmt.Sprintf("%s step %d", cfg.name, step),
 					ix.Current(), fullFreeze(ix), probes)
 			}
-			if patched, full := ix.publishCounters(); patched == 0 {
+			if patched, full := publishCounters(ix); patched == 0 {
 				t.Fatalf("incremental path never engaged (%d full publishes)", full)
 			}
 		})
@@ -331,7 +388,8 @@ func TestAbortedApplyLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestPublishCompactionTriggers: with background compaction disabled,
+// TestPublishCompactionTriggers: with background compaction switched off
+// (the inlineCompaction hook),
 // sustained churn must eventually cross a garbage threshold and fall back
 // to a compacting full rebuild, and the snapshots stay correct across the
 // transition. (The default background path is covered by the tests in
@@ -342,10 +400,11 @@ func TestPublishCompactionTriggers(t *testing.T) {
 	for i := range polys {
 		polys[i] = randSquare(rng)
 	}
-	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), WithBackgroundCompaction(false))
+	ix, err := NewIndex(polys, WithCoveringBudget(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	withShards(ix, func(sh *shard) { sh.inlineCompaction = true })
 	probes := randPoints(rng, 100)
 	for i := 0; i < 150; i++ {
 		id, err := ix.Add(randSquare(rng))
@@ -359,7 +418,7 @@ func TestPublishCompactionTriggers(t *testing.T) {
 			assertSnapshotsEqual(t, fmt.Sprintf("churn %d", i), ix.Current(), fullFreeze(ix), probes)
 		}
 	}
-	patched, full := ix.publishCounters()
+	patched, full := publishCounters(ix)
 	if patched == 0 {
 		t.Fatal("incremental path never engaged")
 	}
@@ -368,31 +427,32 @@ func TestPublishCompactionTriggers(t *testing.T) {
 			patched, full)
 	}
 	if st := ix.PublishStats(); st.CompactionsStarted != 0 {
-		t.Fatalf("%d background compactions despite WithBackgroundCompaction(false)", st.CompactionsStarted)
+		t.Fatalf("%d background compactions despite inline compaction", st.CompactionsStarted)
 	}
 	assertSnapshotsEqual(t, "final", ix.Current(), fullFreeze(ix), probes)
 }
 
-// TestIncrementalPublishDisabled: the escape hatch forces the full path and
-// stays equivalent.
+// TestIncrementalPublishDisabled: the fullPublish hook forces the full path
+// and stays equivalent.
 func TestIncrementalPublishDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	polys := make([]Polygon, 10)
 	for i := range polys {
 		polys[i] = randSquare(rng)
 	}
-	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), WithIncrementalPublish(false))
+	ix, err := NewIndex(polys, WithCoveringBudget(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	withShards(ix, func(sh *shard) { sh.fullPublish = true })
 	probes := randPoints(rng, 100)
 	for i := 0; i < 5; i++ {
 		if _, err := ix.Add(randSquare(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if patched, _ := ix.publishCounters(); patched != 0 {
-		t.Fatalf("%d patched publishes despite WithIncrementalPublish(false)", patched)
+	if patched, _ := publishCounters(ix); patched != 0 {
+		t.Fatalf("%d patched publishes despite the fullPublish hook", patched)
 	}
 	assertSnapshotsEqual(t, "full-only", ix.Current(), fullFreeze(ix), probes)
 }
@@ -439,7 +499,7 @@ func TestStatsExcludeOrphans(t *testing.T) {
 	if !sawOrphans {
 		t.Fatal("Add/Remove churn never orphaned a trie node")
 	}
-	if patched, _ := ix.publishCounters(); patched == 0 {
+	if patched, _ := publishCounters(ix); patched == 0 {
 		t.Fatal("incremental path never engaged")
 	}
 }
@@ -462,16 +522,17 @@ func TestFullRebuildResetsSnapshotMaxCellLevel(t *testing.T) {
 	tinyID := PolygonID(len(polys))
 	polys = append(polys, tiny)
 
-	build := func(opts ...Option) *Index {
-		ix, err := NewIndex(polys, append([]Option{WithCoveringBudget(8, 16)}, opts...)...)
+	build := func() *Index {
+		ix, err := NewIndex(polys, WithCoveringBudget(8, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ix
 	}
 	inc := build()
-	full := build(WithIncrementalPublish(false))
-	deepLevel := inc.Current().tree.MaxCellLevel()
+	full := build()
+	withShards(full, func(sh *shard) { sh.fullPublish = true })
+	deepLevel := soleShard(inc).Current().tree.MaxCellLevel()
 
 	if err := inc.Remove(tinyID); err != nil {
 		t.Fatal(err)
@@ -479,18 +540,18 @@ func TestFullRebuildResetsSnapshotMaxCellLevel(t *testing.T) {
 	if err := full.Remove(tinyID); err != nil {
 		t.Fatal(err)
 	}
-	if got := inc.Current().tree.MaxCellLevel(); got != deepLevel {
+	if got := soleShard(inc).Current().tree.MaxCellLevel(); got != deepLevel {
 		t.Fatalf("incremental MaxCellLevel = %d after removal; the documented drift keeps %d", got, deepLevel)
 	}
 	fresh, err := NewIndex(polys[:tinyID], WithCoveringBudget(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Current().tree.MaxCellLevel()
+	want := soleShard(fresh).Current().tree.MaxCellLevel()
 	if want >= deepLevel {
 		t.Fatalf("fixture broken: remaining polygons reach level %d >= tiny polygon's %d", want, deepLevel)
 	}
-	if got := full.Current().tree.MaxCellLevel(); got != want {
+	if got := soleShard(full).Current().tree.MaxCellLevel(); got != want {
 		t.Fatalf("full rebuild MaxCellLevel = %d after removal, want reset to %d", got, want)
 	}
 }

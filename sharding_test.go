@@ -12,16 +12,16 @@ import (
 	"time"
 )
 
-// Cross-shard differential suite: a ShardedIndex must be indistinguishable
-// from a plain Index driven through the same mutation history — same ids,
-// same errors, same query answers, and byte-identical serialization — at 1,
-// 2 and 6 shards. The polygons here are small relative to the shard split
-// (no covering cell spans a boundary), so the byte-identity contract from
-// the shard.go package comment applies in full.
+// Cross-shard differential suite: an index of several shards must be
+// indistinguishable from a one-shard index driven through the same mutation
+// history — same ids, same errors, same query answers, and byte-identical
+// serialization — at 1, 2 and 6 shards. The polygons here are small
+// relative to the shard split (no covering cell spans a boundary), so the
+// byte-identity contract from the Index type comment applies in full.
 
-// assertShardedMatches compares the sharded index's composed view against
-// the plain index on everything a caller can observe.
-func assertShardedMatches(t *testing.T, ctx string, six *ShardedIndex, ix *Index, probes []Point) {
+// assertShardedMatches compares the sharded index's snapshot against
+// the one-shard index on everything a caller can observe.
+func assertShardedMatches(t *testing.T, ctx string, six *Index, ix *Index, probes []Point) {
 	t.Helper()
 	ss := six.Current()
 	ps := ix.Current()
@@ -75,7 +75,7 @@ func assertShardedMatches(t *testing.T, ctx string, six *ShardedIndex, ix *Index
 // TestShardedDifferential drives identical randomized mutation histories —
 // adds, removes (including double removes and unknown ids), unlimited-budget
 // training, multi-op transactions and aborted transactions — through a
-// plain Index and ShardedIndexes at 1, 2 and 6 shards, asserting complete
+// one-shard index and indexes of 1, 2 and 6 shards, asserting complete
 // observable equivalence after every operation and a byte-identical
 // serialization round trip at the end.
 func TestShardedDifferential(t *testing.T) {
@@ -188,7 +188,7 @@ func shardedDifferentialRun(t *testing.T, shards int) {
 				tx.Train(trainPts, 0)
 				return nil
 			})
-			err2 := six.Apply(func(tx *ShardTx) error {
+			err2 := six.Apply(func(tx *Tx) error {
 				for _, p := range adds {
 					id, err := tx.Add(p)
 					if err != nil {
@@ -243,7 +243,7 @@ func shardedDifferentialRun(t *testing.T, shards int) {
 				return abort
 			}
 			err1 := ix.Apply(func(tx *Tx) error { return stage(tx.Add, tx.Remove) })
-			err2 := six.Apply(func(tx *ShardTx) error { return stage(tx.Add, tx.Remove) })
+			err2 := six.Apply(func(tx *Tx) error { return stage(tx.Add, tx.Remove) })
 			if !errors.Is(err1, abort) || !errors.Is(err2, abort) {
 				t.Fatalf("%s: aborted Apply diverged: %v vs %v", ctx, err1, err2)
 			}
@@ -297,7 +297,7 @@ func TestShardedClosedAndLimits(t *testing.T) {
 	if err := six.Remove(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Remove after Close: %v, want ErrClosed", err)
 	}
-	if err := six.Apply(func(tx *ShardTx) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := six.Apply(func(tx *Tx) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Apply after Close: %v, want ErrClosed", err)
 	}
 	if st := six.Train(randPoints(rng, 5), 0); st != (TrainStats{}) {
@@ -381,7 +381,7 @@ func TestShardedRaceStress(t *testing.T) {
 			default:
 			}
 			var ids [2]PolygonID
-			err := six.Apply(func(tx *ShardTx) error {
+			err := six.Apply(func(tx *Tx) error {
 				var err error
 				if ids[0], err = tx.Add(sentA); err != nil {
 					return err
@@ -393,7 +393,7 @@ func TestShardedRaceStress(t *testing.T) {
 				t.Errorf("sentinel add Apply: %v", err)
 				return
 			}
-			err = six.Apply(func(tx *ShardTx) error {
+			err = six.Apply(func(tx *Tx) error {
 				if err := tx.Remove(ids[0]); err != nil {
 					return err
 				}

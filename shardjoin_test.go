@@ -61,7 +61,7 @@ func boundaryPoints(rng *rand.Rand, bounds []cellid.CellID) []Point {
 }
 
 // TestShardedBatchMatchesUnsharded holds the sharded batch queries to the
-// unsharded index and to per-point Covers on streams packed around the
+// one-shard index and to per-point Covers on streams packed around the
 // shard bounds: every shard count, thread count, sort mode and exactness,
 // at batch sizes below and above the single-worker cutoff.
 func TestShardedBatchMatchesUnsharded(t *testing.T) {
@@ -104,7 +104,7 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 					want[i] = ps.CoversApprox(p)
 				}
 				if got := ss.query(p, exact); !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("shards=%d exact=%v: point %v: sharded per-point query %v, unsharded %v",
+					t.Fatalf("shards=%d exact=%v: point %v: sharded per-point query %v, one-shard %v",
 						shards, exact, p, got, want[i])
 				}
 			}
@@ -122,7 +122,7 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 						got := ss.CoversBatch(pts[:n], opt)
 						for i := range got {
 							if !reflect.DeepEqual(got[i], want[i]) {
-								t.Fatalf("%s: point %d %v: CoversBatch %v, unsharded Covers %v",
+								t.Fatalf("%s: point %d %v: CoversBatch %v, one-shard Covers %v",
 									ctx, i, pts[i], got[i], want[i])
 							}
 						}
@@ -130,7 +130,7 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 							t.Fatalf("%s: JoinCount %v, want %v", ctx, res.Counts, wantCounts)
 						}
 						if res := ps.JoinCount(pts[:n], opt); !reflect.DeepEqual(res.Counts, wantCounts) {
-							t.Fatalf("%s: unsharded JoinCount %v, want %v", ctx, res.Counts, wantCounts)
+							t.Fatalf("%s: one-shard JoinCount %v, want %v", ctx, res.Counts, wantCounts)
 						}
 					}
 				}

@@ -2,13 +2,10 @@ package actjoin
 
 import (
 	"errors"
-	"fmt"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/cover"
 	"actjoin/internal/geom"
-	"actjoin/internal/refs"
-	"actjoin/internal/supercover"
 )
 
 // Runtime polygon updates — the extension the paper sketches in Section
@@ -17,81 +14,25 @@ import (
 // at runtime … Code for removing polygons would follow the same logic."
 //
 // The paper leaves the synchronization of runtime updates to the caller;
-// here it is the snapshot swap. Each mutation (or Apply batch) mutates the
-// writer-side super covering under the index mutex, rebuilds the frozen
-// trie off to the side, and publishes the result as a new immutable
-// Snapshot with one atomic pointer store. Queries running against the
+// here it is the snapshot swap. Each mutation (or Apply batch) is routed to
+// the owning shards (index.go); each shard stages its part into its
+// writer-side super covering under its mutex, rebuilds the frozen trie off
+// to the side, and publishes the result as a new immutable snapshot with
+// one atomic pointer store (shard.go). Queries running against the
 // previous snapshot are never blocked and never observe a half-applied
 // update.
 //
 // Publish latency is bounded by the mutation, not the index: steady-state
 // publishes patch the previous snapshot, and the garbage that patching
-// accumulates is compacted by a background goroutine (see compaction.go and
-// WithBackgroundCompaction) rather than by a stop-the-writer rebuild, so
-// even the publish that crosses a compaction threshold stays mutation-sized.
+// accumulates is compacted by a background goroutine (see compaction.go)
+// rather than by a stop-the-writer rebuild, so even the publish that
+// crosses a compaction threshold stays mutation-sized.
 
 // ErrRemoved is returned when operating on a polygon id that was removed.
 var ErrRemoved = errors.New("actjoin: polygon already removed")
 
-// Add indexes one more polygon at runtime, publishes a new snapshot, and
-// returns the polygon's id. The new polygon's cells go through the usual
-// covering, conflict resolution and — when the index has a precision bound
-// — boundary refinement scoped to the covering's cells, so queries keep
-// their exactness and precision guarantees.
-//
-// On a publish failure (a catastrophic freeze error; see publish) the add
-// is rolled back — the id is void, the published snapshot unchanged, and
-// the writer remains usable — and the error is returned. Add on a closed
-// index returns ErrClosed.
-func (ix *Index) Add(p Polygon) (PolygonID, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return 0, ErrClosed
-	}
-	id, err := ix.addLocked(p)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := ix.publish(); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// addLocked validates first and only mutates on the success path, so a
-// failed add leaves the writer state untouched.
-//
-//act:requires mu
-func (ix *Index) addLocked(p Polygon) (PolygonID, error) {
-	if len(ix.polys) >= MaxPolygons {
-		return 0, fmt.Errorf("actjoin: polygon limit %d reached", MaxPolygons)
-	}
-	gp, err := toGeom(p)
-	if err != nil {
-		return 0, fmt.Errorf("actjoin: add: %w", err)
-	}
-	id := PolygonID(len(ix.polys))
-	ix.polys = append(ix.mutablePolys(1), gp)
-	ix.staged = true
-
-	covering, interior := coverPolygon(gp, ix.opt)
-	for _, c := range covering {
-		ix.sc.Insert(c, []refs.Ref{refs.MakeRef(id, false)})
-	}
-	for _, c := range interior {
-		ix.sc.Insert(c, []refs.Ref{refs.MakeRef(id, true)})
-	}
-	if level := addRefineLevel(gp, ix.opt, ix.precisionLevel); level > 0 {
-		ix.sc.RefineCells(ix.polys, covering, level)
-	}
-	return id, nil
-}
-
 // coverPolygon computes a polygon's covering and interior covering under the
-// index's budgets — the cells an Add inserts (shared by the plain and the
-// sharded add paths; the sharded one computes coverings before routing them
-// to the owning shards).
+// index's budgets — the cells an Add routes to the owning shards.
 func coverPolygon(gp *geom.Polygon, opt options) (covering, interior []cellid.CellID) {
 	covering = cover.Covering(gp, cover.Options{MaxCells: opt.coveringCells})
 	interior = cover.InteriorCovering(gp, cover.Options{MaxCells: opt.interiorCells, MaxLevel: 20})
@@ -138,307 +79,4 @@ func equatorNearestLat(r geom.Rect) float64 {
 	default:
 		return r.Hi.Y
 	}
-}
-
-// Remove deletes a polygon from the index and publishes a new snapshot. Its
-// id is never reused; queries on later snapshots never report it again.
-// Counts slices from joins keep their length (the removed id's slot stays
-// zero).
-//
-// Cost: O(polygon footprint), not O(index) — the writer's per-polygon cell
-// directory records exactly which covering cells reference the polygon, so
-// both the removal and the incremental publish that follows touch only those
-// cells (see FootprintCells; WithWalkRemoval forces the old full-walk
-// behaviour).
-//
-// Like Add, a failed publish rolls the removal back and returns the error;
-// a closed index returns ErrClosed.
-func (ix *Index) Remove(id PolygonID) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return ErrClosed
-	}
-	if err := ix.removeLocked(id); err != nil {
-		return err
-	}
-	if _, err := ix.publish(); err != nil {
-		return err
-	}
-	return nil
-}
-
-//act:requires mu
-func (ix *Index) removeLocked(id PolygonID) error {
-	if int(id) >= len(ix.polys) {
-		return fmt.Errorf("actjoin: unknown polygon id %d", id)
-	}
-	if ix.polys[id] == nil {
-		return ErrRemoved
-	}
-	ix.sc.RemovePolygon(id)
-	ix.mutablePolys(0)[id] = nil // tombstone: ids stay stable
-	ix.staged = true
-	return nil
-}
-
-// FootprintCells returns the number of super-covering cells currently
-// referencing the polygon in the writer-side state — the cost driver of
-// Remove and of the incremental publish that follows it. Removed (or never
-// referenced) polygons report 0. The count reflects staged mutations that
-// may not be published yet; it is a writer-side diagnostic, not a snapshot
-// property.
-func (ix *Index) FootprintCells(id PolygonID) int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.sc.Footprint(id)
-}
-
-// TrainStats reports the outcome of Train.
-type TrainStats struct {
-	PointsSeen    int
-	CellsSplit    int
-	BudgetReached bool
-	NumCells      int // cells after training
-}
-
-// Train adapts the index to an expected point distribution (the paper's
-// Section 3.3.1): every training point hitting a cell that would require a
-// PIP test splits that cell one level, until maxCells (0 = unlimited) is
-// reached, then publishes a new snapshot. Queries keep running against the
-// previous snapshot until the publish.
-//
-// Training is advisory, so failures degrade to a no-op rather than an
-// error: on a closed index, or when the publish fails (the training pass is
-// rolled back with it), Train returns zero TrainStats and the index is
-// unchanged.
-func (ix *Index) Train(points []Point, maxCells int) TrainStats {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return TrainStats{}
-	}
-	st := ix.trainLocked(points, maxCells)
-	s, err := ix.publish()
-	if err != nil {
-		return TrainStats{}
-	}
-	st.NumCells = s.cells.Len()
-	return st
-}
-
-//act:requires mu
-func (ix *Index) trainLocked(points []Point, maxCells int) TrainStats {
-	cells := make([]cellid.CellID, len(points))
-	for i, p := range points {
-		cells[i] = cellid.FromPoint(geom.Point{X: p.Lon, Y: p.Lat})
-	}
-	res := ix.sc.Train(ix.polys, cells, maxCells)
-	ix.staged = true
-	return TrainStats{
-		PointsSeen:    res.PointsSeen,
-		CellsSplit:    res.Splits,
-		BudgetReached: res.BudgetReached,
-		NumCells:      ix.sc.NumCells(),
-	}
-}
-
-// Tx is a write transaction handed to Apply. Its mutations accumulate in
-// the writer-side state and become visible to queries all at once, when
-// Apply publishes the resulting snapshot. A Tx is only valid inside its
-// Apply call and must not be used from other goroutines or retained.
-// Mutate only through the Tx inside the transaction: calling the Index's
-// own mutation methods (Add, Remove, Train, Apply) from within the
-// transaction function deadlocks on the index mutex Apply already holds.
-type Tx struct {
-	noCopy noCopy
-
-	ix *Index
-}
-
-func (tx *Tx) index() *Index {
-	if tx.ix == nil {
-		panic("actjoin: Tx used outside its Apply call")
-	}
-	return tx.ix
-}
-
-// Add stages one more polygon, returning the id it will have once the
-// transaction publishes.
-//
-//act:requires mu
-func (tx *Tx) Add(p Polygon) (PolygonID, error) { return tx.index().addLocked(p) }
-
-// Remove stages the deletion of a polygon.
-//
-//act:requires mu
-func (tx *Tx) Remove(id PolygonID) error { return tx.index().removeLocked(id) }
-
-// Train stages a training pass over the staged state.
-//
-//act:requires mu
-func (tx *Tx) Train(points []Point, maxCells int) TrainStats {
-	return tx.index().trainLocked(points, maxCells)
-}
-
-// Apply runs a batch of mutations as one transaction and publishes exactly
-// one snapshot: queries observe either none of the batch or all of it,
-// and the cost of rebuilding the frozen trie is paid once instead of per
-// mutation. If fn returns an error (or panics), the staged mutations are
-// discarded, the published snapshot stays as it was, and the error (or
-// panic) propagates to the caller — polygon ids handed out by tx.Add are
-// void in that case.
-//
-// fn must mutate only through tx: calling Add, Remove, Train or Apply on
-// the Index itself from inside fn deadlocks (the index mutex is held for
-// the duration of the transaction). Queries — Current and any Snapshot —
-// remain safe from anywhere, including inside fn.
-func (ix *Index) Apply(fn func(tx *Tx) error) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return ErrClosed
-	}
-	tx := Tx{ix: ix}
-	committed := false
-	defer func() {
-		// Runs on the error path AND when fn panics: invalidate the Tx so
-		// a leaked reference cannot mutate without the mutex, and discard
-		// the staged writer state so the aborted batch can never leak
-		// into a later publish. A transaction that staged nothing (e.g.
-		// its first Add failed validation) has nothing to discard, and
-		// skips the O(index) state rebuild. (A failed publish already
-		// rewound the writer and cleared staged, so this defer stays a
-		// no-op on that path.)
-		tx.ix = nil
-		if !committed && ix.staged {
-			ix.restore()
-		}
-	}()
-	if err := fn(&tx); err != nil {
-		return err
-	}
-	if _, err := ix.publish(); err != nil {
-		return err
-	}
-	committed = true
-	return nil
-}
-
-// Shard-side staging: a ShardedIndex (shard.go) decomposes every mutation
-// into per-shard op lists — coverings pre-computed and pre-routed to the
-// owning shard — and each shard stages its list and publishes once, under
-// its own mutex, exactly like a single-shard Apply. The ops carry global
-// polygon ids (assigned by the sharded registry) rather than deriving them
-// from the local polygon slice, which is why staging here pads the slice
-// with tombstones up to the id: a shard only grows past an id when a later
-// mutation forces the length, and a nil slot is indistinguishable from a
-// removed polygon — exactly the semantics merged reads want.
-
-// shardOpKind discriminates shardOp.
-type shardOpKind uint8
-
-const (
-	shardOpAdd shardOpKind = iota
-	shardOpRemove
-	shardOpTrain
-)
-
-// shardOp is one routed mutation for one shard.
-type shardOp struct {
-	kind shardOpKind
-
-	// add / remove
-	id PolygonID
-	// add
-	gp          *geom.Polygon
-	covering    []cellid.CellID // covering cells routed to this shard
-	interior    []cellid.CellID // interior cells routed to this shard
-	refineLevel int
-	// train
-	points   []cellid.CellID // training points routed to this shard
-	maxCells int             // per-shard budget (0 = unlimited), set at commit
-	skip     bool            // train only: global budget already exhausted
-	trainRes *supercover.TrainResult
-}
-
-// applyShardOps stages a routed op batch on this shard and publishes once.
-// It returns the snapshot that was current before the batch, which the
-// multi-shard commit keeps for cross-shard rollback (rewindTo). On a stage
-// or publish failure the shard itself is already rolled back (restore /
-// recoverFailedPublish) and its published snapshot unchanged — only the
-// *other* shards of the batch need rewinding.
-func (ix *Index) applyShardOps(ops []shardOp) (prev *Snapshot, err error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return nil, ErrClosed
-	}
-	prev = ix.cur.Load()
-	for i := range ops {
-		ix.stageShardOp(&ops[i])
-	}
-	if _, err := ix.publish(); err != nil {
-		return prev, err
-	}
-	return prev, nil
-}
-
-// stageShardOp stages one routed op into the writer-side state, mirroring
-// addLocked / removeLocked / trainLocked with the id, coverings and budget
-// supplied by the router instead of computed locally.
-//
-//act:requires mu
-func (ix *Index) stageShardOp(op *shardOp) {
-	switch op.kind {
-	case shardOpAdd:
-		extra := int(op.id) + 1 - len(ix.polys)
-		if extra < 0 {
-			extra = 0
-		}
-		polys := ix.mutablePolys(extra)
-		for len(polys) <= int(op.id) {
-			polys = append(polys, nil)
-		}
-		polys[op.id] = op.gp
-		ix.polys = polys
-		ix.staged = true
-		for _, c := range op.covering {
-			ix.sc.Insert(c, []refs.Ref{refs.MakeRef(op.id, false)})
-		}
-		for _, c := range op.interior {
-			ix.sc.Insert(c, []refs.Ref{refs.MakeRef(op.id, true)})
-		}
-		if op.refineLevel > 0 && len(op.covering) > 0 {
-			ix.sc.RefineCells(ix.polys, op.covering, op.refineLevel)
-		}
-	case shardOpRemove:
-		// Validation happened in the sharded registry; a shard that never
-		// grew past the id (or already holds a tombstone) has nothing to do.
-		if int(op.id) < len(ix.polys) && ix.polys[op.id] != nil {
-			ix.sc.RemovePolygon(op.id)
-			ix.mutablePolys(0)[op.id] = nil
-			ix.staged = true
-		}
-	case shardOpTrain:
-		var res supercover.TrainResult
-		if op.skip {
-			res = supercover.TrainResult{BudgetReached: true}
-		} else {
-			res = ix.sc.Train(ix.polys, op.points, op.maxCells)
-			ix.staged = true
-		}
-		if op.trainRes != nil {
-			*op.trainRes = res
-		}
-	}
-}
-
-// writerNumCells reports the writer-side covering size under the mutex; the
-// sharded Train uses it to convert the global cell budget into per-shard
-// remainders as the commit walks the shards.
-func (ix *Index) writerNumCells() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.sc.NumCells()
 }

@@ -13,7 +13,7 @@ func TestAddPolygonAtRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Point{Lon: -73.96, Lat: 40.75}
-	if got := idx.Covers(p); len(got) != 0 {
+	if got := idx.Current().Covers(p); len(got) != 0 {
 		t.Fatalf("point should match nothing yet: %v", got)
 	}
 
@@ -24,15 +24,15 @@ func TestAddPolygonAtRuntime(t *testing.T) {
 	if id != 2 {
 		t.Errorf("new id = %d, want 2", id)
 	}
-	if got := idx.Covers(p); len(got) != 1 || got[0] != id {
+	if got := idx.Current().Covers(p); len(got) != 1 || got[0] != id {
 		t.Errorf("Covers after Add = %v, want [%d]", got, id)
 	}
 	// The hole must still be excluded.
-	if got := idx.Covers(Point{Lon: -73.965, Lat: 40.765}); len(got) != 0 {
+	if got := idx.Current().Covers(Point{Lon: -73.965, Lat: 40.765}); len(got) != 0 {
 		t.Errorf("hole matched after Add: %v", got)
 	}
 	// Old polygons unaffected.
-	if got := idx.Covers(Point{Lon: -73.985, Lat: 40.715}); len(got) != 1 || got[0] != 0 {
+	if got := idx.Current().Covers(Point{Lon: -73.985, Lat: 40.715}); len(got) != 1 || got[0] != 0 {
 		t.Errorf("polygon 0 lost after Add: %v", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestAddWithPrecisionKeepsBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		p := Point{Lon: -73.96 + rng.Float64()*0.04, Lat: 40.74 + rng.Float64()*0.04}
-		for _, got := range idx.CoversApprox(p) {
+		for _, got := range idx.Current().CoversApprox(p) {
 			if got != id {
 				continue
 			}
@@ -108,24 +108,24 @@ func TestRemovePolygon(t *testing.T) {
 		t.Fatal(err)
 	}
 	inPoly1 := Point{Lon: -73.955, Lat: 40.715}
-	if got := idx.Covers(inPoly1); len(got) != 1 || got[0] != 1 {
+	if got := idx.Current().Covers(inPoly1); len(got) != 1 || got[0] != 1 {
 		t.Fatal("setup: point must be in polygon 1")
 	}
 	if err := idx.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.Covers(inPoly1); len(got) != 0 {
+	if got := idx.Current().Covers(inPoly1); len(got) != 0 {
 		t.Errorf("removed polygon still matches: %v", got)
 	}
-	if !idx.Removed(1) {
+	if !idx.Current().Removed(1) {
 		t.Error("Removed(1) = false")
 	}
 	// Other polygons unaffected.
-	if got := idx.Covers(Point{Lon: -73.985, Lat: 40.715}); len(got) != 1 || got[0] != 0 {
+	if got := idx.Current().Covers(Point{Lon: -73.985, Lat: 40.715}); len(got) != 1 || got[0] != 0 {
 		t.Errorf("polygon 0 lost after Remove: %v", got)
 	}
 	// Joins keep the counts slice length; the removed slot stays zero.
-	res := idx.Join([]Point{inPoly1, {Lon: -73.985, Lat: 40.715}}, true, 1)
+	res := idx.Current().JoinCount([]Point{inPoly1, {Lon: -73.985, Lat: 40.715}}, QueryOptions{Exact: true, Threads: 1})
 	if len(res.Counts) != 3 {
 		t.Fatalf("counts length = %d", len(res.Counts))
 	}
@@ -173,7 +173,7 @@ func TestAddRemoveAddCycle(t *testing.T) {
 		t.Error("removed ids must not be reused")
 	}
 	p := Point{Lon: -73.89, Lat: 40.61}
-	got := idx.Covers(p)
+	got := idx.Current().Covers(p)
 	if len(got) != 1 || got[0] != id2 {
 		t.Errorf("Covers = %v, want [%d]", got, id2)
 	}
@@ -191,7 +191,7 @@ func TestAddValidation(t *testing.T) {
 		t.Error("out-of-range polygon must be rejected")
 	}
 	// Failed adds must not leak a polygon slot.
-	if got := idx.Stats().NumPolygons; got != 1 {
+	if got := idx.Current().Stats().NumPolygons; got != 1 {
 		t.Errorf("failed Add leaked a slot: %d polygons", got)
 	}
 }
@@ -328,18 +328,19 @@ func TestApplyTxTrain(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		train = append(train, Point{Lon: -73.97 + (rng.Float64()-0.5)*0.002, Lat: 40.70 + rng.Float64()*0.03})
 	}
-	var st TrainStats
+	before := idx.Current().Stats().NumCells
 	if err := idx.Apply(func(tx *Tx) error {
-		st = tx.Train(train, 0)
+		tx.Train(train, 0)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if st.CellsSplit == 0 {
-		t.Fatal("transactional training must split cells")
+	after := idx.Current().Stats().NumCells
+	if after <= before {
+		t.Fatalf("transactional training must split cells: %d cells before the commit, %d after", before, after)
 	}
-	if got := idx.Current().Stats().NumCells; got != st.NumCells {
-		t.Errorf("published cells %d != train stats %d", got, st.NumCells)
+	if got := writerCells(idx); len(got) != after {
+		t.Errorf("published cells %d != writer cells %d", after, len(got))
 	}
 }
 
@@ -373,14 +374,14 @@ func TestSerializeAfterUpdates(t *testing.T) {
 	}
 	// Tombstones round-trip as zero-ring polygons.
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := idx.Current().WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo after updates: %v", err)
 	}
 	loaded, err := ReadIndexFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Removed(1) {
+	if !loaded.Current().Removed(1) {
 		t.Error("tombstone lost in round trip")
 	}
 	// The loaded index answers like the original.
@@ -390,7 +391,7 @@ func TestSerializeAfterUpdates(t *testing.T) {
 		{Lon: -73.89, Lat: 40.61},   // the added square
 	}
 	for _, p := range pts {
-		a, b := idx.Covers(p), loaded.Covers(p)
+		a, b := idx.Current().Covers(p), loaded.Current().Covers(p)
 		if len(a) != len(b) {
 			t.Fatalf("loaded Covers(%v) = %v, want %v", p, b, a)
 		}
