@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// All reads go through an immutable snapshot: one atomic load, then
+	// All reads go through an immutable snapshot: pin it once, then run
 	// lock-free queries against a consistent view.
 	snap := idx.Current()
 	st := snap.Stats()
